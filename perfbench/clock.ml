@@ -1,0 +1,2 @@
+(* Monotonic clock with nanosecond resolution, in seconds. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
