@@ -450,6 +450,8 @@ let test_targets =
          let _, _, _, _, inputs, _, _ = Lazy.force micro_env in
          ignore (Bdrmap.Targets.blocks ~rib:inputs.rib ~vp_asns:inputs.vp_asns)))
 
+(* One route read from the packed snapshot [setup] froze: a prefix and
+   an ASN binary search, one word fetch, one next-hop segment decode. *)
 let test_bgp_route =
   Test.make ~name:"bgp-route-lookup"
     (Staged.stage (fun () ->

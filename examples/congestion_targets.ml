@@ -79,8 +79,10 @@ let () =
      interdomain links and see whether monitoring the INFERRED address
      pairs finds them. *)
   let bgp2 =
-    Routing.Bgp.create world.net world.rels_truth
-      ~originated:(Gen.originated world) ~selective:world.selective
+    Routing.Bgp.of_snapshot
+      (Routing.Bgp.freeze
+         (Routing.Bgp.create world.net world.rels_truth
+            ~originated:(Gen.originated world) ~selective:world.selective))
   in
   let fwd2 = Routing.Forwarding.create world.net bgp2 in
   let engine2 = Probesim.Engine.create world fwd2 in

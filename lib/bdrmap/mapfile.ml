@@ -63,8 +63,12 @@ let of_bytes bytes =
     let v = get_be bytes 4 4 in
     if v <> codec_version then Error (Bad_version v)
     else begin
+      (* The length field is read into a 63-bit int, so a top byte
+         >= 0x40 decodes negative: reject it before any [sub_string].
+         Trailing bytes past the declared payload are corrupt too. *)
       let len = get_be bytes 24 8 in
-      if n - header_len < len then Error Truncated
+      if len > n - header_len then Error Truncated
+      else if len < 0 || len < n - header_len then Error Corrupt
       else begin
         let payload = Bytes.sub_string bytes header_len len in
         if Digest.string payload <> Bytes.sub_string bytes 8 16 then Error Corrupt

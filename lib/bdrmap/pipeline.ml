@@ -75,16 +75,6 @@ let execute ?cfg engine inputs ~vp =
     cache = Engine.stats engine;
   }
 
-let setup ?(pps = 100.0) (w : Gen.world) =
-  let bgp =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-      ~selective:w.Gen.selective
-  in
-  let fwd = Routing.Forwarding.create w.Gen.net bgp in
-  let engine = Engine.create ~pps w fwd in
-  let inputs = inputs_of_world w bgp in
-  (bgp, fwd, engine, inputs)
-
 (* Force the lazily built indices of the structures that parallel
    vantage-point runs share read-only (the topology's adjacency arrays,
    the delegation index, the RIB's flattened LPM), so no worker domain
@@ -104,36 +94,50 @@ type shared = {
   plan : Routing.Forwarding.plan;
 }
 
-let freeze_routing ?store ?epoch (w : Gen.world) =
+let propagation (w : Gen.world) =
+  Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+    ~selective:w.Gen.selective
+
+(* With a store, the packed snapshot round-trips through its raw byte
+   codec: warm sweeps skip the propagation compute entirely. The
+   forwarding plan is cheap relative to the snapshot and rebuilds from
+   it deterministically. *)
+let build_routing ?store ?epoch (w : Gen.world) =
+  let snapshot =
+    let cached =
+      match store with
+      | None -> None
+      | Some st -> Run_store.load_bgp_snapshot ?epoch st ~world:w
+    in
+    match cached with
+    | Some s -> s
+    | None ->
+      let s = Routing.Bgp.freeze (propagation w) in
+      Option.iter (fun st -> Run_store.save_bgp_snapshot ?epoch st ~world:w s) store;
+      s
+  in
+  let fwd = Routing.Forwarding.create w.Gen.net (Routing.Bgp.of_snapshot snapshot) in
+  { snapshot; plan = Routing.Forwarding.freeze ~egress_for:w.Gen.siblings fwd }
+
+let freeze_routing ?store ?epoch w =
   Obs.Span.with_span ~stage:"freeze" ~vp:"shared" (fun () ->
-      (* With a store, the packed snapshot round-trips through its raw
-         byte codec: warm sweeps skip the propagation compute entirely.
-         The forwarding plan is cheap relative to the snapshot and
-         rebuilds from it deterministically. *)
-      let snapshot =
-        let cached =
-          match store with
-          | None -> None
-          | Some st -> Run_store.load_bgp_snapshot ?epoch st ~world:w
-        in
-        match cached with
-        | Some s -> s
-        | None ->
-          let bgp =
-            Routing.Bgp.create w.Gen.net w.Gen.rels_truth
-              ~originated:(Gen.originated w) ~selective:w.Gen.selective
-          in
-          let s = Routing.Bgp.freeze bgp in
-          Option.iter
-            (fun st -> Run_store.save_bgp_snapshot ?epoch st ~world:w s)
-            store;
-          s
-      in
-      let fwd =
-        Routing.Forwarding.create w.Gen.net (Routing.Bgp.of_snapshot snapshot)
-      in
-      let plan = Routing.Forwarding.freeze ~egress_for:w.Gen.siblings fwd in
-      { snapshot; plan })
+      build_routing ?store ?epoch w)
+
+(* One probing stack over the shared routing state: an attached BGP
+   view, forwarding over the shared plan with thin private memos, and
+   a fresh engine. *)
+let stack ~pps (w : Gen.world) s =
+  let bgp = Routing.Bgp.of_snapshot s.snapshot in
+  let fwd = Routing.Forwarding.create ~plan:s.plan w.Gen.net bgp in
+  (bgp, fwd, Engine.create ~pps w fwd)
+
+let attach ?(pps = 100.0) w s =
+  let bgp, fwd, engine = stack ~pps w s in
+  (bgp, fwd, engine, inputs_of_world w bgp)
+
+(* Untraced, so a single-VP run's trace holds exactly its per-VP
+   stages. *)
+let setup ?pps w = attach ?pps w (build_routing w)
 
 let execute_all ?cfg ?pool ?store ?shared ?epoch ?(pps = 100.0) (w : Gen.world)
     inputs ~vps =
@@ -159,10 +163,7 @@ let execute_all ?cfg ?pool ?store ?shared ?epoch ?(pps = 100.0) (w : Gen.world)
   in
   let compute vp =
     Obs.Metrics.incr "pipeline.vp_computes";
-    let s = Lazy.force shared in
-    let bgp = Routing.Bgp.of_snapshot s.snapshot in
-    let fwd = Routing.Forwarding.create ~plan:s.plan w.Gen.net bgp in
-    let engine = Engine.create ~pps w fwd in
+    let _, _, engine = stack ~pps w (Lazy.force shared) in
     execute ~cfg engine inputs ~vp
   in
   (* With a store, each VP is a checkpoint: a hit rebuilds the run from
@@ -229,10 +230,6 @@ type epoch = {
 let run_epochs ?cfg ?pool ?store ?(pps = 100.0) ?(validate = true) ~schedule
     ~vps (w : Gen.world) =
   Topogen.Evolve.validate_schedule schedule;
-  let fresh_bgp (w : Gen.world) =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth
-      ~originated:(Gen.originated w) ~selective:w.Gen.selective
-  in
   let world = ref w in
   let digest = ref "" in
   let prev : shared option ref = ref None in
@@ -249,7 +246,7 @@ let run_epochs ?cfg ?pool ?store ?(pps = 100.0) ?(validate = true) ~schedule
           let churn = Routing.Bgp.churn_of_events events in
           let snapshot, stats =
             Obs.Span.with_span ~stage:"freeze" ~vp:"shared" (fun () ->
-                Routing.Bgp.refreeze (fresh_bgp w') ~old:old.snapshot churn)
+                Routing.Bgp.refreeze (propagation w') ~old:old.snapshot churn)
           in
           let fwd =
             Routing.Forwarding.create w'.Gen.net
@@ -269,7 +266,7 @@ let run_epochs ?cfg ?pool ?store ?(pps = 100.0) ?(validate = true) ~schedule
                build-accounting gates stay meaningful. *)
             let scratch =
               Routing.Bgp.freeze ~counter:"routing.snapshot.scratch_builds"
-                (fresh_bgp w')
+                (propagation w')
             in
             (match Routing.Bgp.Snapshot.equal scratch snapshot with
             | Ok () -> ()

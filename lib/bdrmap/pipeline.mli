@@ -36,11 +36,6 @@ type run = {
 (** [execute ?cfg engine inputs ~vp] runs the full pipeline from [vp]. *)
 val execute : ?cfg:Config.t -> Engine.t -> inputs -> vp:Gen.vp -> run
 
-(** [setup world] builds the routing/probing stack for a world:
-    (bgp, forwarding, engine, inputs). *)
-val setup :
-  ?pps:float -> Gen.world -> Routing.Bgp.t * Routing.Forwarding.t * Engine.t * inputs
-
 (** The shared routing state of a multi-VP sweep: one frozen BGP
     snapshot plus one frozen forwarding plan. Pure immutable data —
     built once, attached by reference from every worker domain. *)
@@ -60,6 +55,21 @@ type shared = {
     evolved-world snapshots apart in the store; the default [""] is the
     unevolved world. *)
 val freeze_routing : ?store:Store.t -> ?epoch:string -> Gen.world -> shared
+
+(** [attach ?pps world shared] is the routing/probing stack over
+    [shared]: (bgp, forwarding, engine, inputs). The BGP view and the
+    forwarding plan are the shared ones; the engine is fresh. *)
+val attach :
+  ?pps:float ->
+  Gen.world ->
+  shared ->
+  Routing.Bgp.t * Routing.Forwarding.t * Engine.t * inputs
+
+(** [setup world] is {!attach} over a fresh {!freeze_routing} of
+    [world], untraced: a single-VP run's trace holds only its per-VP
+    stages. *)
+val setup :
+  ?pps:float -> Gen.world -> Routing.Bgp.t * Routing.Forwarding.t * Engine.t * inputs
 
 (** [execute_all ?pool w inputs ~vps] runs the full pipeline from every
     vantage point in [vps], on [pool]'s worker domains when one is

@@ -37,25 +37,9 @@ type t = {
   mutable cache_evictions : int;
 }
 
-(* The payload is just the probability; the opaque type exists so the
-   only way to build one — the deprecated [rate_limit_p] constructor —
-   raises a compile-time alert at every remaining call site. *)
-type legacy_rate_limit = float
-
-let rate_limit_p p = p
-
-let create ?(pps = 100.0) ?rate_limit_p ?fault
-    ?(cache_cap = default_cache_cap) w fwd =
+let create ?(pps = 100.0) ?fault ?(cache_cap = default_cache_cap) w fwd =
   let cfg =
     match fault with Some c -> c | None -> Fault.of_profile w
-  in
-  (* [rate_limit_p] predates the fault layer; route it through the
-     fault state's dedicated legacy stream so its draw sequence stays
-     isolated from every other impairment. *)
-  let cfg =
-    match rate_limit_p with
-    | Some p when p > 0.0 -> { cfg with Fault.legacy_rl_p = p }
-    | _ -> cfg
   in
   { w; fwd; ipid = Ipid.create ~seed:w.Gen.params.Gen.seed; pps;
     fault = Fault.create ~seed:w.Gen.params.Gen.seed cfg;
@@ -226,7 +210,6 @@ let trace_probe ?(flow = 0) t ~vp ~dst ~ttl =
           reply_gate r (fun () -> Some (make_reply t r ~src:dst ~kind:Echo_reply))
         else None
       else if not r.Net.behavior.ttl_expired then None
-      else if Fault.legacy_rate_limited t.fault then None
       else
         reply_gate r (fun () ->
             match select_src t r step.Fwd.in_link ~dst ~reply_to:vp.Gen.vp_addr with

@@ -11,6 +11,17 @@ type route = {
   parent : Asn.t option;
 }
 
+(* The propagation inputs of one world: everything [freeze] and
+   [refreeze] read, and nothing they compute. *)
+type propagation = {
+  net : Net.t;
+  rels : B.As_rel.t;
+  origin_trie : Asn.Set.t Ptrie.t;
+  originated : (Prefix.t * Asn.Set.t) list;
+  selective : int list Prefix.Map.t Asn.Map.t;
+  prefixes : Prefix.t list;  (* sorted, deduplicated *)
+}
+
 (* A frozen snapshot is pure immutable data: every originated prefix's
    route table computed once and packed into flat GC-invisible arenas.
    A route is a single int word in [s_words] (see the layout below);
@@ -31,24 +42,22 @@ type route = {
    Next-hop segments are interned: identical sets share one arena
    segment (the same few sets recur across thousands of prefixes).
    Segments store ASN *slots* in ascending order, so the first entry is
-   the minimum — exactly the boxed representation's [parent]. *)
+   the minimum — the canonical [parent]. *)
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type snapshot = {
-  s_net : Net.t;
-  s_rels : B.As_rel.t;
-  s_origin_trie : Asn.Set.t Ptrie.t;
-  s_originated : (Prefix.t * Asn.Set.t) list;
-  s_selective : int list Prefix.Map.t Asn.Map.t;
-  s_prefixes : Prefix.t list;  (* sorted, deduplicated *)
+  s_prop : propagation;
   s_asns : Asn.t array;  (* sorted interning table: ASN -> slot by binary search *)
-  s_pfx : Prefix.t array;  (* = s_prefixes, for binary search *)
+  s_pfx : Prefix.t array;  (* = s_prop.prefixes, for binary search *)
   s_words : int_ba;  (* packed route word at (prefix slot * |s_asns| + asn slot) *)
   s_arena : int_ba;  (* interned next-hop segments (ASN slots, ascending) *)
   s_lpm : int Lpm.t;  (* origin LPM; value = prefix slot into s_pfx *)
 }
 
-let cls_code = function Cust -> 0 | Peer -> 1 | Prov -> 2
+(* Every routing answer comes out of a snapshot; [of_snapshot] is the
+   counted attach point. *)
+type t = snapshot
+
 let cls_of_code c = match c land 3 with 0 -> Cust | 1 -> Peer | _ -> Prov
 let w_dist w = (w lsr 2) land 0x3FF
 let w_count w = (w lsr 12) land 0xFFFFF
@@ -61,27 +70,7 @@ let pack_word ~cls ~dist ~count ~off =
     invalid_arg (Printf.sprintf "Bgp.freeze: %d next hops outside packable range" count);
   if off < 0 || off > 0x3FFF_FFFF then
     invalid_arg (Printf.sprintf "Bgp.freeze: arena offset %d outside packable range" off);
-  cls_code cls lor (dist lsl 2) lor (count lsl 12) lor (off lsl 32)
-
-type t = {
-  net : Net.t;
-  rels : B.As_rel.t;
-  origin_trie : Asn.Set.t Ptrie.t;
-  originated : (Prefix.t * Asn.Set.t) list;
-  selective : int list Prefix.Map.t Asn.Map.t;
-  prefixes_memo : Prefix.t list;
-  frozen : snapshot option;
-  (* Two-generation route-table cache (young/old with promote-on-hit),
-     same shape as [Engine]'s fpath cache: when the young generation
-     fills, it becomes the old one and only the previous old generation
-     is dropped — a sweep over >192 prefixes keeps its working set
-     instead of restarting from an empty table every 192 misses. *)
-  mutable young : (Prefix.t, route Asn.Tbl.t) Hashtbl.t;
-  mutable old_gen : (Prefix.t, route Asn.Tbl.t) Hashtbl.t;
-  mutable cache_hits : int;
-}
-
-let cache_limit = 192
+  cls lor (dist lsl 2) lor (count lsl 12) lor (off lsl 32)
 
 let create net rels ~originated ~selective =
   let origin_trie =
@@ -95,201 +84,14 @@ let create net rels ~originated ~selective =
       Ptrie.empty originated
   in
   { net; rels; origin_trie; originated; selective;
-    prefixes_memo = List.sort_uniq Prefix.compare (List.map fst originated);
-    frozen = None;
-    young = Hashtbl.create 256; old_gen = Hashtbl.create 16; cache_hits = 0 }
+    prefixes = List.sort_uniq Prefix.compare (List.map fst originated) }
 
-let prefixes t = t.prefixes_memo
-
-let origins t p =
-  Option.value ~default:Asn.Set.empty (Ptrie.find_exact p t.origin_trie)
-
-let is_origin t asn p = Asn.Set.mem asn (origins t p)
-
-let allowed_links t ~origin ~p =
-  match Asn.Map.find_opt origin t.selective with
-  | None -> None
-  | Some per_prefix -> Prefix.Map.find_opt p per_prefix
-
-(* Propagation for one prefix. Three stages:
-   1. "up": customer routes climb c2p edges from the origins;
-   2. "peer": one peer edge on top of an up route;
-   3. "down": best routes descend p2c edges (Dijkstra over hop counts,
-      since a provider route can feed another provider route). *)
-let compute t p =
-  let os = origins t p in
-  let up : int Asn.Tbl.t = Asn.Tbl.create 256 in
-  (* Stage 1: BFS in hop order. *)
-  let q = Queue.create () in
-  Asn.Set.iter
-    (fun o ->
-      Asn.Tbl.replace up o 0;
-      Queue.add o q)
-    os;
-  while not (Queue.is_empty q) do
-    let x = Queue.pop q in
-    let d = Asn.Tbl.find up x in
-    Asn.Set.iter
-      (fun prov ->
-        if not (Asn.Tbl.mem up prov) then begin
-          Asn.Tbl.replace up prov (d + 1);
-          Queue.add prov q
-        end)
-      (B.As_rel.providers t.rels x)
-  done;
-  (* Stage 2: peer routes. *)
-  let peer : int Asn.Tbl.t = Asn.Tbl.create 256 in
-  Asn.Tbl.iter
-    (fun x d ->
-      Asn.Set.iter
-        (fun y ->
-          if not (Asn.Set.mem y os) then
-            match Asn.Tbl.find_opt peer y with
-            | Some d' when d' <= d + 1 -> ()
-            | _ -> Asn.Tbl.replace peer y (d + 1))
-        (B.As_rel.peers t.rels x))
-    up;
-  (* Stage 3: provider routes via Dijkstra. Lazy deletion on a binary
-     heap: a relaxation pushes a fresh (dist, asn) entry and stale ones
-     are skipped on pop, so the final [prov] table is identical to the
-     old set-as-priority-queue version whatever the tie order. *)
-  let best_non_prov x =
-    match (Asn.Tbl.find_opt up x, Asn.Tbl.find_opt peer x) with
-    | Some d, _ -> Some (Cust, d)
-    | None, Some d -> Some (Peer, d)
-    | None, None -> None
-  in
-  let prov : int Asn.Tbl.t = Asn.Tbl.create 256 in
-  let pq =
-    Heap.create (fun (d1, x1) (d2, x2) ->
-        match Int.compare d1 d2 with 0 -> Asn.compare x1 x2 | c -> c)
-  in
-  (* Seed: every AS holding a cust/peer route exports it to customers. *)
-  let seed x d =
-    Asn.Set.iter
-      (fun c ->
-        if best_non_prov c = None && not (Asn.Set.mem c os) then
-          match Asn.Tbl.find_opt prov c with
-          | Some d' when d' <= d + 1 -> ()
-          | _ ->
-            Asn.Tbl.replace prov c (d + 1);
-            Heap.push pq (d + 1, c))
-      (B.As_rel.customers t.rels x)
-  in
-  Asn.Tbl.iter seed up;
-  Asn.Tbl.iter (fun x d -> if Asn.Tbl.find_opt up x = None then seed x d) peer;
-  let rec drain () =
-    match Heap.pop_opt pq with
-    | None -> ()
-    | Some (d, x) ->
-      if Asn.Tbl.find_opt prov x = Some d then
-        Asn.Set.iter
-          (fun c ->
-            if best_non_prov c = None && not (Asn.Set.mem c os) then
-              match Asn.Tbl.find_opt prov c with
-              | Some d' when d' <= d + 1 -> ()
-              | _ ->
-                Asn.Tbl.replace prov c (d + 1);
-                Heap.push pq (d + 1, c))
-          (B.As_rel.customers t.rels x);
-      drain ()
-  in
-  drain ();
-  (* Assemble per-AS best routes with the full next-hop set. *)
-  let table : route Asn.Tbl.t = Asn.Tbl.create 256 in
-  let consider x =
-    if Asn.Set.mem x os then ()
-    else
-      let best =
-        match (Asn.Tbl.find_opt up x, Asn.Tbl.find_opt peer x, Asn.Tbl.find_opt prov x) with
-        | Some d, _, _ -> Some (Cust, d)
-        | None, Some d, _ -> Some (Peer, d)
-        | None, None, Some d -> Some (Prov, d)
-        | None, None, None -> None
-      in
-      match best with
-      | None -> ()
-      | Some (cls, d) ->
-        let nexthops =
-          match cls with
-          | Cust ->
-            Asn.Set.filter
-              (fun c -> Asn.Tbl.find_opt up c = Some (d - 1))
-              (B.As_rel.customers t.rels x)
-          | Peer ->
-            Asn.Set.filter
-              (fun y -> Asn.Tbl.find_opt up y = Some (d - 1))
-              (B.As_rel.peers t.rels x)
-          | Prov ->
-            Asn.Set.filter
-              (fun pr ->
-                let bd =
-                  match
-                    ( Asn.Tbl.find_opt up pr,
-                      Asn.Tbl.find_opt peer pr,
-                      Asn.Tbl.find_opt prov pr )
-                  with
-                  | Some d', _, _ -> Some d'
-                  | None, Some d', _ -> Some d'
-                  | None, None, Some d' -> Some d'
-                  | None, None, None -> None
-                in
-                bd = Some (d - 1) || (d = 1 && Asn.Set.mem pr os))
-              (B.As_rel.providers t.rels x)
-        in
-        (* Direct neighbors of an origin also see the origin itself as a
-           next hop at dist 1. *)
-        let nexthops =
-          if d = 1 then
-            Asn.Set.union nexthops
-              (Asn.Set.filter
-                 (fun o ->
-                   B.As_rel.known t.rels x o
-                   &&
-                   match B.As_rel.rel t.rels ~of_:x ~with_:o with
-                   | Some B.As_rel.Customer -> cls = Cust
-                   | Some B.As_rel.Peer -> cls = Peer
-                   | Some B.As_rel.Provider -> cls = Prov
-                   | None -> false)
-                 os)
-          else nexthops
-        in
-        if not (Asn.Set.is_empty nexthops) then
-          Asn.Tbl.replace table x
-            { cls; dist = d; nexthops; parent = Asn.Set.min_elt_opt nexthops }
-  in
-  Asn.Set.iter consider (Net.asns t.net);
-  (* Relationship-only ASes (e.g. router-less siblings) still need rows. *)
-  Asn.Set.iter consider (B.As_rel.asns t.rels);
-  table
-
-let store_young t p tbl =
-  if Hashtbl.length t.young >= cache_limit then begin
-    t.old_gen <- t.young;
-    t.young <- Hashtbl.create 256
-  end;
-  Hashtbl.add t.young p tbl
-
-let table_for t p =
-  match Hashtbl.find_opt t.young p with
-  | Some tbl ->
-    t.cache_hits <- t.cache_hits + 1;
-    tbl
-  | None -> (
-    match Hashtbl.find_opt t.old_gen p with
-    | Some tbl ->
-      t.cache_hits <- t.cache_hits + 1;
-      store_young t p tbl;
-      tbl
-    | None ->
-      let tbl = compute t p in
-      store_young t p tbl;
-      tbl)
+let origins_of prop p =
+  Option.value ~default:Asn.Set.empty (Ptrie.find_exact p prop.origin_trie)
 
 (* Binary searches into the snapshot's interning arrays. A miss is a
-   correct [None]: a prefix outside [s_pfx] was never originated, so
-   the lazy [compute] would build an empty table for it, and [consider]
-   only ever adds rows for ASNs inside [s_asns]. *)
+   correct [None]: a prefix outside [s_pfx] was never originated, and
+   only ASNs inside [s_asns] ever hold a route. *)
 let slot_of_array cmp a x =
   let rec go lo hi =
     if lo >= hi then -1
@@ -303,8 +105,9 @@ let slot_of_array cmp a x =
   go 0 (Array.length a)
 
 (* Packed-word access: 0 means "no route". Decoding rebuilds the boxed
-   [route] record on demand; the zero-allocation accessors below read
-   straight out of the word for hot loops that never need the record. *)
+   [route] record on demand; the zero-allocation accessors in
+   [Snapshot] read straight out of the word for hot loops that never
+   need the record. *)
 let word_at s ~pslot ~aslot =
   Bigarray.Array1.get s.s_words ((pslot * Array.length s.s_asns) + aslot)
 
@@ -318,64 +121,61 @@ let decode_route s w =
   { cls = cls_of_code w;
     dist = w_dist w;
     nexthops = !nexthops;
-    (* Segments are ascending, so the first entry is the minimum — the
-       boxed representation's canonical parent. *)
+    (* Segments are ascending, so the first entry is the minimum. *)
     parent = Some s.s_asns.(Bigarray.Array1.get s.s_arena off) }
 
 let route_at s ~pslot ~aslot =
   if pslot < 0 || aslot < 0 then None
   else match word_at s ~pslot ~aslot with 0 -> None | w -> Some (decode_route s w)
 
-let snap_route s asn p =
-  let pi = slot_of_array Prefix.compare s.s_pfx p in
-  if pi < 0 then None
-  else
-    let ai = slot_of_array Asn.compare s.s_asns asn in
-    route_at s ~pslot:pi ~aslot:ai
+let prefixes t = t.s_prop.prefixes
+let origins t p = origins_of t.s_prop p
+let is_origin t asn p = Asn.Set.mem asn (origins t p)
+
+let allowed_links t ~origin ~p =
+  match Asn.Map.find_opt origin t.s_prop.selective with
+  | None -> None
+  | Some per_prefix -> Prefix.Map.find_opt p per_prefix
 
 let route t asn p =
-  match t.frozen with
-  | Some s -> snap_route s asn p
-  | None -> Asn.Tbl.find_opt (table_for t p) asn
+  route_at t
+    ~pslot:(slot_of_array Prefix.compare t.s_pfx p)
+    ~aslot:(slot_of_array Asn.compare t.s_asns asn)
 
-(* Like [lookup], but also exposes the matched prefix's interned slot
-   (-1 on the lazy path): frozen callers that loop over lookups — the
-   forwarding plan's egress table, the crossing-link sweeps — reuse the
-   slot directly instead of re-binary-searching the prefix per query. *)
 let lookup_slot t asn addr =
-  match t.frozen with
-  | Some s ->
-    let i = Lpm.lookup_idx s.s_lpm addr in
-    if i < 0 then None
-    else
-      let pslot = Lpm.value_at s.s_lpm i in
-      let ai = slot_of_array Asn.compare s.s_asns asn in
-      Some (s.s_pfx.(pslot), pslot, route_at s ~pslot ~aslot:ai)
-  | None -> (
-    match Ptrie.lpm addr t.origin_trie with
-    | None -> None
-    | Some (p, _) -> Some (p, -1, route t asn p))
+  let i = Lpm.lookup_idx t.s_lpm addr in
+  if i < 0 then None
+  else
+    let pslot = Lpm.value_at t.s_lpm i in
+    let aslot = slot_of_array Asn.compare t.s_asns asn in
+    Some (t.s_pfx.(pslot), pslot, route_at t ~pslot ~aslot)
 
 let lookup t asn addr =
   match lookup_slot t asn addr with
   | None -> None
   | Some (p, _, r) -> Some (p, r)
 
+(* Parent chains walk packed words directly: each hop is one word fetch
+   plus one arena fetch (the segment head is the canonical parent), with
+   the origin set resolved once up front. *)
 let as_path t asn p =
-  if is_origin t asn p then Some [ asn ]
+  let os = origins t p in
+  if Asn.Set.mem asn os then Some [ asn ]
   else
-    let rec follow x acc guard =
+    let pslot = slot_of_array Prefix.compare t.s_pfx p in
+    let rec follow aslot acc guard =
+      let x = t.s_asns.(aslot) in
       if guard > 64 then None
-      else if is_origin t x p then Some (List.rev (x :: acc))
+      else if Asn.Set.mem x os then Some (List.rev (x :: acc))
       else
-        match route t x p with
-        | None -> None
-        | Some r -> (
-          match r.parent with
-          | None -> Some (List.rev (x :: acc))
-          | Some y -> follow y (x :: acc) (guard + 1))
+        match word_at t ~pslot ~aslot with
+        | 0 -> None
+        | w -> follow (Bigarray.Array1.get t.s_arena (w_off w)) (x :: acc) (guard + 1)
     in
-    follow asn [] 0
+    if pslot < 0 then None
+    else
+      let a0 = slot_of_array Asn.compare t.s_asns asn in
+      if a0 < 0 then None else follow a0 [] 0
 
 let collector_view t collectors =
   List.fold_left
@@ -388,80 +188,225 @@ let collector_view t collectors =
         rib collectors)
     B.Rib.empty (prefixes t)
 
-let freeze ?(counter = "routing.snapshot.builds") t =
-  match t.frozen with
-  | Some s -> s
-  | None ->
-    Obs.Metrics.incr counter;
-    let s_pfx = Array.of_list t.prefixes_memo in
-    let asn_set = Asn.Set.union (Net.asns t.net) (B.As_rel.asns t.rels) in
-    let s_asns = Array.of_list (Asn.Set.elements asn_set) in
-    let n = Array.length s_asns in
-    let np = Array.length s_pfx in
-    let aslot_tbl = Asn.Tbl.create ((2 * n) + 1) in
-    Array.iteri (fun i a -> Asn.Tbl.replace aslot_tbl a i) s_asns;
-    let aslot_of a =
-      match Asn.Tbl.find_opt aslot_tbl a with
-      | Some i -> i
-      | None -> invalid_arg (Printf.sprintf "Bgp.freeze: next hop AS%d unknown" a)
-    in
-    let s_words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (np * n) in
-    Bigarray.Array1.fill s_words 0;
-    (* Growable arena with segment interning: identical next-hop sets
-       (as ascending slot lists) share one segment. *)
-    let arena = ref (Array.make 1024 0) in
-    let alen = ref 0 in
-    let segments : (int list, int) Hashtbl.t = Hashtbl.create 4096 in
-    let intern_segment slots =
-      match Hashtbl.find_opt segments slots with
-      | Some off -> off
-      | None ->
-        let off = !alen in
-        List.iter
-          (fun s ->
-            if !alen >= Array.length !arena then begin
-              let bigger = Array.make (2 * Array.length !arena) 0 in
-              Array.blit !arena 0 bigger 0 !alen;
-              arena := bigger
-            end;
-            !arena.(!alen) <- s;
-            incr alen)
-          slots;
-        Hashtbl.replace segments slots off;
-        off
-    in
-    Array.iteri
-      (fun pi p ->
-        let tbl = compute t p in
-        let base = pi * n in
-        Asn.Tbl.iter
-          (fun asn (r : route) ->
-            (* [Asn.Set.elements] is ascending, and slots follow ASN
-               order, so the slot list is ascending too. *)
-            let slots = List.map aslot_of (Asn.Set.elements r.nexthops) in
-            let off = intern_segment slots in
-            Bigarray.Array1.set s_words (base + aslot_of asn)
-              (pack_word ~cls:r.cls ~dist:r.dist ~count:(List.length slots) ~off))
-          tbl)
-      s_pfx;
-    let s_arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout !alen in
-    for i = 0 to !alen - 1 do
-      Bigarray.Array1.set s_arena i !arena.(i)
-    done;
-    { s_net = t.net;
-      s_rels = t.rels;
-      s_origin_trie = t.origin_trie;
-      s_originated = t.originated;
-      s_selective = t.selective;
-      s_prefixes = t.prefixes_memo;
-      s_asns;
-      s_pfx;
-      s_words;
-      s_arena;
-      s_lpm = Lpm.build (List.mapi (fun i p -> (p, i)) t.prefixes_memo) }
+let of_snapshot s =
+  Obs.Metrics.incr "routing.snapshot.attaches";
+  s
+
+let snapshot_of t = t
 
 (* ------------------------------------------------------------------ *)
-(* Incremental re-freeze: dirty-prefix deltas over a frozen snapshot.  *)
+(* Propagation straight into packed words.                             *)
+
+(* The fill state shared by [freeze] and [refreeze]: the interned ASN
+   axis with the relationship graph as ascending slot arrays, dense
+   per-prefix distance scratch, the packed word matrix being filled,
+   and the growable next-hop arena with segment interning. *)
+type fill = {
+  asns : Asn.t array;
+  n : int;
+  provs : int array array;
+  custs : int array array;
+  peers : int array array;
+  words : int_ba;
+  (* Per-prefix scratch, reset after every row. Distances are -1 when
+     absent; [up] is 0 exactly at the origins. *)
+  up : int array;
+  peer : int array;
+  prov : int array;
+  touched : int array;  (* slots holding any distance; doubles as the BFS queue *)
+  mutable nt : int;
+  heap : int Heap.t;  (* (dist lsl 31) lor slot *)
+  hops : int array;  (* next-hop slots of the route being packed *)
+  mutable arena : int array;
+  mutable alen : int;
+  single : int array;  (* slot -> offset of its one-hop segment, or -1 *)
+  multi : (int list, int) Hashtbl.t;  (* longer segments -> offset *)
+}
+
+let new_fill prop ~np =
+  let asns =
+    Array.of_list
+      (Asn.Set.elements (Asn.Set.union (Net.asns prop.net) (B.As_rel.asns prop.rels)))
+  in
+  let n = Array.length asns in
+  let slot = Asn.Tbl.create ((2 * n) + 1) in
+  Array.iteri (fun i a -> Asn.Tbl.replace slot a i) asns;
+  (* [Asn.Set.elements] is ascending and slots follow ASN order, so
+     every adjacency row is ascending too. *)
+  let adj f =
+    Array.map
+      (fun a ->
+        Array.of_list
+          (List.map
+             (fun b ->
+               match Asn.Tbl.find_opt slot b with
+               | Some i -> i
+               | None -> invalid_arg (Printf.sprintf "Bgp.freeze: next hop AS%d unknown" b))
+             (Asn.Set.elements (f prop.rels a))))
+      asns
+  in
+  let words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (np * n) in
+  Bigarray.Array1.fill words 0;
+  { asns; n;
+    provs = adj B.As_rel.providers;
+    custs = adj B.As_rel.customers;
+    peers = adj B.As_rel.peers;
+    words;
+    up = Array.make n (-1);
+    peer = Array.make n (-1);
+    prov = Array.make n (-1);
+    touched = Array.make n 0;
+    nt = 0;
+    heap = Heap.create Int.compare;
+    hops = Array.make (max 1 n) 0;
+    arena = [||];
+    alen = 0;
+    single = Array.make n (-1);
+    multi = Hashtbl.create 1024 }
+
+(* Append the first [cnt] entries of [f.hops] to the arena, growing it
+   by doubling; returns the segment's offset. *)
+let append f cnt =
+  let off = f.alen in
+  if off + cnt > Array.length f.arena then begin
+    let bigger = Array.make (max 1024 (2 * (off + cnt))) 0 in
+    Array.blit f.arena 0 bigger 0 off;
+    f.arena <- bigger
+  end;
+  Array.blit f.hops 0 f.arena off cnt;
+  f.alen <- off + cnt;
+  off
+
+(* Intern the first [cnt] entries of [f.hops] as an arena segment: a
+   repeated set returns the offset of its first copy. *)
+let intern f cnt =
+  if cnt = 1 then begin
+    let s = f.hops.(0) in
+    if f.single.(s) < 0 then f.single.(s) <- append f 1;
+    f.single.(s)
+  end
+  else
+    let key = List.init cnt (fun k -> f.hops.(k)) in
+    match Hashtbl.find_opt f.multi key with
+    | Some off -> off
+    | None ->
+      let off = append f cnt in
+      Hashtbl.replace f.multi key off;
+      off
+
+let touch f x =
+  if f.up.(x) < 0 && f.peer.(x) < 0 && f.prov.(x) < 0 then begin
+    f.touched.(f.nt) <- x;
+    f.nt <- f.nt + 1
+  end
+
+(* Propagate prefix [p] and write its row at [base]. Three stages:
+   1. "up": customer routes climb c2p edges from the origins (BFS);
+   2. "peer": one peer edge on top of an up route;
+   3. "down": best routes descend p2c edges (Dijkstra over hop counts,
+      since a provider route can feed another provider route).
+   Then every reached non-origin AS packs its best (class, dist) with
+   the full set of neighbours offering it one hop closer; the origins'
+   direct neighbours thereby see the origin itself at dist 1. *)
+let fill_row f prop p ~base =
+  Asn.Set.iter
+    (fun o ->
+      let x = slot_of_array Asn.compare f.asns o in
+      if x >= 0 && f.up.(x) < 0 then begin
+        touch f x;
+        f.up.(x) <- 0
+      end)
+    (origins_of prop p);
+  let head = ref 0 in
+  while !head < f.nt do
+    let x = f.touched.(!head) in
+    incr head;
+    let d = f.up.(x) + 1 in
+    let adj = f.provs.(x) in
+    for k = 0 to Array.length adj - 1 do
+      let pr = adj.(k) in
+      if f.up.(pr) < 0 then begin
+        touch f pr;
+        f.up.(pr) <- d
+      end
+    done
+  done;
+  let n_up = f.nt in
+  for i = 0 to n_up - 1 do
+    let x = f.touched.(i) in
+    let d = f.up.(x) + 1 in
+    let adj = f.peers.(x) in
+    for k = 0 to Array.length adj - 1 do
+      let y = adj.(k) in
+      if f.up.(y) <> 0 && (f.peer.(y) < 0 || f.peer.(y) > d) then begin
+        touch f y;
+        f.peer.(y) <- d
+      end
+    done
+  done;
+  (* Stage 3. Lazy deletion on a binary heap: a relaxation pushes a
+     fresh entry and stale ones are skipped on pop, so the final [prov]
+     distances do not depend on the tie order. *)
+  let relax x d =
+    let adj = f.custs.(x) in
+    for k = 0 to Array.length adj - 1 do
+      let c = adj.(k) in
+      if f.up.(c) < 0 && f.peer.(c) < 0 && (f.prov.(c) < 0 || f.prov.(c) > d) then begin
+        touch f c;
+        f.prov.(c) <- d;
+        Heap.push f.heap ((d lsl 31) lor c)
+      end
+    done
+  in
+  let n_seeds = f.nt in
+  for i = 0 to n_seeds - 1 do
+    let x = f.touched.(i) in
+    relax x ((if f.up.(x) >= 0 then f.up.(x) else f.peer.(x)) + 1)
+  done;
+  let rec drain () =
+    match Heap.pop_opt f.heap with
+    | None -> ()
+    | Some key ->
+      let x = key land 0x7FFF_FFFF and d = key lsr 31 in
+      if f.prov.(x) = d then relax x (d + 1);
+      drain ()
+  in
+  drain ();
+  for i = 0 to f.nt - 1 do
+    let x = f.touched.(i) in
+    if f.up.(x) <> 0 then begin
+      let cls = if f.up.(x) > 0 then 0 else if f.peer.(x) > 0 then 1 else 2 in
+      let d, adj =
+        match cls with
+        | 0 -> (f.up.(x), f.custs.(x))
+        | 1 -> (f.peer.(x), f.peers.(x))
+        | _ -> (f.prov.(x), f.provs.(x))
+      in
+      let cnt = ref 0 in
+      for k = 0 to Array.length adj - 1 do
+        let y = adj.(k) in
+        let dy =
+          if cls < 2 || f.up.(y) >= 0 then f.up.(y)
+          else if f.peer.(y) >= 0 then f.peer.(y)
+          else f.prov.(y)
+        in
+        if dy = d - 1 then begin
+          f.hops.(!cnt) <- y;
+          incr cnt
+        end
+      done;
+      if !cnt > 0 then
+        Bigarray.Array1.set f.words (base + x)
+          (pack_word ~cls ~dist:d ~count:!cnt ~off:(intern f !cnt))
+    end
+  done;
+  for i = 0 to f.nt - 1 do
+    let x = f.touched.(i) in
+    f.up.(x) <- -1;
+    f.peer.(x) <- -1;
+    f.prov.(x) <- -1
+  done;
+  f.nt <- 0
 
 (* A batch of topology changes in the vocabulary the delta path needs
    (produced by [Topogen.Evolve]). The contract that keeps the patch
@@ -524,24 +469,23 @@ type refreeze_stats = {
   rf_fallback : bool;
 }
 
-(* [refreeze t ~old churn]: [t] is the fresh (unfrozen) propagation
-   state of the post-churn world, [old] the pre-churn snapshot. Only
-   dirty prefixes re-propagate; every clean row is a Bigarray blit
-   whose packed words stay valid verbatim because the old arena is the
-   new arena's prefix and old ASN slots are stable. New-AS columns on
-   clean rows are filled by the stub rule: a pure stub's only possible
-   route is a provider route one hop past its providers' best — the
-   same answer [compute] derives, since a stub feeds nothing back into
-   anyone else's table. If the append-only ASN contract is violated,
-   the patch degrades to a full recompute (counted under
-   [routing.snapshot.patch_fallbacks]) rather than guessing. *)
-let refreeze t ~old churn =
-  Obs.Metrics.incr "routing.snapshot.patches";
-  let s_pfx = Array.of_list t.prefixes_memo in
-  let asn_set = Asn.Set.union (Net.asns t.net) (B.As_rel.asns t.rels) in
-  let s_asns = Array.of_list (Asn.Set.elements asn_set) in
-  let n = Array.length s_asns in
+(* [build prop ~old churn]: [prop] is the propagation state of the
+   post-churn world, [old] the pre-churn snapshot. Only dirty prefixes
+   re-propagate; every clean row is a Bigarray blit whose packed words
+   stay valid verbatim because the old arena is the new arena's prefix
+   and old ASN slots are stable. New-AS columns on clean rows are
+   filled by the stub rule: a pure stub's only possible route is a
+   provider route one hop past its providers' best — the same answer
+   propagation derives, since a stub feeds nothing back into anyone
+   else's table. If the append-only ASN contract is violated, every row
+   re-propagates rather than guessing (counted under
+   [routing.snapshot.patch_fallbacks]). A full [freeze] is this against
+   the empty snapshot: no old ASN survives, so every row is dirty. *)
+let build prop ~old churn =
+  let s_pfx = Array.of_list prop.prefixes in
   let np = Array.length s_pfx in
+  let f = new_fill prop ~np in
+  let n = f.n in
   let n_old = Array.length old.s_asns in
   let np_old = Array.length old.s_pfx in
   let asns_ok =
@@ -549,7 +493,7 @@ let refreeze t ~old churn =
     &&
     let ok = ref true in
     for i = 0 to n_old - 1 do
-      if not (Asn.equal s_asns.(i) old.s_asns.(i)) then ok := false
+      if not (Asn.equal f.asns.(i) old.s_asns.(i)) then ok := false
     done;
     !ok
   in
@@ -559,16 +503,15 @@ let refreeze t ~old churn =
     churn.ch_new_stubs;
   let stubs_ok = ref true in
   for i = n_old to n - 1 do
-    match Asn.Tbl.find_opt stub_providers s_asns.(i) with
+    match Asn.Tbl.find_opt stub_providers f.asns.(i) with
     | None -> stubs_ok := false
     | Some provs ->
       Asn.Set.iter
-        (fun pr ->
-          if slot_of_array Asn.compare old.s_asns pr < 0 then stubs_ok := false)
+        (fun pr -> if slot_of_array Asn.compare old.s_asns pr < 0 then stubs_ok := false)
         provs
   done;
   let fallback = not (asns_ok && !stubs_ok) in
-  if fallback then Obs.Metrics.incr "routing.snapshot.patch_fallbacks";
+  if fallback && n_old > 0 then Obs.Metrics.incr "routing.snapshot.patch_fallbacks";
   (* Old pslot <-> new pslot translation by merge walk (both sorted). *)
   let old2new = Array.make (max 1 np_old) (-1) in
   let new2old = Array.make (max 1 np) (-1) in
@@ -595,9 +538,8 @@ let refreeze t ~old churn =
   if not fallback then begin
     let seg_mem w target =
       let off = w_off w in
-      let hi = off + w_count w in
       let found = ref false in
-      for k = off to hi - 1 do
+      for k = off to off + w_count w - 1 do
         if Bigarray.Array1.get old.s_arena k = target then found := true
       done;
       !found
@@ -619,50 +561,25 @@ let refreeze t ~old churn =
           done)
       churn.ch_removed_edges
   end;
-  let aslot_tbl = Asn.Tbl.create ((2 * n) + 1) in
-  Array.iteri (fun i a -> Asn.Tbl.replace aslot_tbl a i) s_asns;
-  let aslot_of a =
-    match Asn.Tbl.find_opt aslot_tbl a with
-    | Some i -> i
-    | None -> invalid_arg (Printf.sprintf "Bgp.refreeze: next hop AS%d unknown" a)
-  in
-  let words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (np * n) in
-  Bigarray.Array1.fill words 0;
   (* The new arena starts as a verbatim copy of the old one, so clean
      rows' packed offsets remain valid; fresh segments append past it.
      (Appended segments dedupe among themselves only — a duplicate of
      an old segment wastes a few words, never correctness.) *)
-  let old_alen = if fallback then 0 else Bigarray.Array1.dim old.s_arena in
-  let arena = ref (Array.make (max 1024 (2 * max 1 old_alen)) 0) in
-  let alen = ref old_alen in
-  for k = 0 to old_alen - 1 do
-    !arena.(k) <- Bigarray.Array1.get old.s_arena k
-  done;
-  let segments : (int list, int) Hashtbl.t = Hashtbl.create 256 in
-  let intern_segment slots =
-    match Hashtbl.find_opt segments slots with
-    | Some off -> off
-    | None ->
-      let off = !alen in
-      List.iter
-        (fun s ->
-          if !alen >= Array.length !arena then begin
-            let bigger = Array.make (2 * Array.length !arena) 0 in
-            Array.blit !arena 0 bigger 0 !alen;
-            arena := bigger
-          end;
-          !arena.(!alen) <- s;
-          incr alen)
-        slots;
-      Hashtbl.replace segments slots off;
-      off
-  in
+  if not fallback then begin
+    let alen = Bigarray.Array1.dim old.s_arena in
+    f.arena <- Array.make (max 1024 (2 * alen)) 0;
+    for k = 0 to alen - 1 do
+      f.arena.(k) <- Bigarray.Array1.get old.s_arena k
+    done;
+    f.alen <- alen
+  end;
   let stub_cols =
     if fallback then [||]
     else
       Array.init (n - n_old) (fun k ->
-          let provs = Asn.Tbl.find stub_providers s_asns.(n_old + k) in
-          List.map (fun pr -> (aslot_of pr, pr)) (Asn.Set.elements provs))
+          let provs = Asn.Tbl.find stub_providers f.asns.(n_old + k) in
+          Array.of_list
+            (List.map (slot_of_array Asn.compare f.asns) (Asn.Set.elements provs)))
   in
   let n_dirty = ref 0 in
   for pn = 0 to np - 1 do
@@ -670,72 +587,48 @@ let refreeze t ~old churn =
     let base = pn * n in
     if dirty.(pn) then begin
       incr n_dirty;
-      let tbl = compute t p in
-      Asn.Tbl.iter
-        (fun asn (r : route) ->
-          let slots = List.map aslot_of (Asn.Set.elements r.nexthops) in
-          let off = intern_segment slots in
-          Bigarray.Array1.set words (base + aslot_of asn)
-            (pack_word ~cls:r.cls ~dist:r.dist ~count:(List.length slots) ~off))
-        tbl
+      fill_row f prop p ~base
     end
     else begin
       let po = new2old.(pn) in
       Bigarray.Array1.blit
         (Bigarray.Array1.sub old.s_words (po * n_old) n_old)
-        (Bigarray.Array1.sub words base n_old);
-      if n > n_old then begin
-        let os = origins t p in
-        Array.iteri
-          (fun k provs ->
-            if not (Asn.Set.mem s_asns.(n_old + k) os) then begin
-              let dist_of pr pa =
-                if Asn.Set.mem pr os then 0
-                else
-                  match word_at old ~pslot:po ~aslot:pa with
-                  | 0 -> max_int
-                  | w -> w_dist w
-              in
-              let best = ref max_int in
-              List.iter
-                (fun (pa, pr) ->
-                  let d = dist_of pr pa in
-                  if d < !best then best := d)
+        (Bigarray.Array1.sub f.words base n_old);
+      let os = origins_of prop p in
+      Array.iteri
+        (fun k provs ->
+          if not (Asn.Set.mem f.asns.(n_old + k) os) then begin
+            let dist_of pa =
+              if Asn.Set.mem f.asns.(pa) os then 0
+              else match word_at old ~pslot:po ~aslot:pa with 0 -> max_int | w -> w_dist w
+            in
+            let best = Array.fold_left (fun b pa -> min b (dist_of pa)) max_int provs in
+            if best < max_int then begin
+              let cnt = ref 0 in
+              Array.iter
+                (fun pa ->
+                  if dist_of pa = best then begin
+                    f.hops.(!cnt) <- pa;
+                    incr cnt
+                  end)
                 provs;
-              if !best < max_int then begin
-                let hop_slots =
-                  List.filter_map
-                    (fun (pa, pr) -> if dist_of pr pa = !best then Some pa else None)
-                    provs
-                in
-                let off = intern_segment hop_slots in
-                Bigarray.Array1.set words (base + n_old + k)
-                  (pack_word ~cls:Prov ~dist:(!best + 1)
-                     ~count:(List.length hop_slots) ~off)
-              end
-            end)
-          stub_cols
-      end
+              Bigarray.Array1.set f.words (base + n_old + k)
+                (pack_word ~cls:2 ~dist:(best + 1) ~count:!cnt ~off:(intern f !cnt))
+            end
+          end)
+        stub_cols
     end
   done;
-  let s_arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout !alen in
-  for k = 0 to !alen - 1 do
-    Bigarray.Array1.set s_arena k !arena.(k)
+  let s_arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout f.alen in
+  for k = 0 to f.alen - 1 do
+    Bigarray.Array1.set s_arena k f.arena.(k)
   done;
   (* LPM: share when the prefix set is untouched (the single-link fast
      path does zero LPM work); otherwise patch only the slots a removed
-     or added prefix covers. *)
-  let prefixes_unchanged =
-    np = np_old
-    &&
-    let ok = ref true in
-    for k = 0 to np - 1 do
-      if not (Prefix.equal s_pfx.(k) old.s_pfx.(k)) then ok := false
-    done;
-    !ok
-  in
+     or added prefix covers, or build it outright from nothing. *)
   let s_lpm =
-    if prefixes_unchanged then old.s_lpm
+    if np_old = 0 then Lpm.build (List.mapi (fun i p -> (p, i)) prop.prefixes)
+    else if np = np_old && Array.for_all2 Prefix.equal s_pfx old.s_pfx then old.s_lpm
     else begin
       let removed = ref [] and added = ref [] in
       for po = np_old - 1 downto 0 do
@@ -744,87 +637,38 @@ let refreeze t ~old churn =
       for pn = np - 1 downto 0 do
         if new2old.(pn) < 0 then added := (s_pfx.(pn), pn) :: !added
       done;
-      Lpm.patch old.s_lpm ~remove:!removed ~add:!added
-        ~remap:(fun po -> old2new.(po))
+      Lpm.patch old.s_lpm ~remove:!removed ~add:!added ~remap:(fun po -> old2new.(po))
     end
   in
-  Obs.Metrics.add "routing.snapshot.dirty_prefixes" !n_dirty;
   let dirty_prefixes = ref [] in
   for pn = np - 1 downto 0 do
     if dirty.(pn) then dirty_prefixes := s_pfx.(pn) :: !dirty_prefixes
   done;
-  ( { s_net = t.net;
-      s_rels = t.rels;
-      s_origin_trie = t.origin_trie;
-      s_originated = t.originated;
-      s_selective = t.selective;
-      s_prefixes = t.prefixes_memo;
-      s_asns;
-      s_pfx;
-      s_words = words;
-      s_arena;
-      s_lpm },
+  ( { s_prop = prop; s_asns = f.asns; s_pfx; s_words = f.words; s_arena; s_lpm },
     { rf_total = np;
       rf_dirty = !n_dirty;
       rf_dirty_prefixes = !dirty_prefixes;
       rf_fallback = fallback } )
 
-let of_snapshot s =
-  Obs.Metrics.incr "routing.snapshot.attaches";
-  { net = s.s_net;
-    rels = s.s_rels;
-    origin_trie = s.s_origin_trie;
-    originated = s.s_originated;
-    selective = s.s_selective;
-    prefixes_memo = s.s_prefixes;
-    frozen = Some s;
-    young = Hashtbl.create 16;
-    old_gen = Hashtbl.create 16;
-    cache_hits = 0 }
+let empty_ba = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
 
-let snapshot_of t = t.frozen
+let freeze ?(counter = "routing.snapshot.builds") prop =
+  Obs.Metrics.incr counter;
+  let empty =
+    { s_prop = prop; s_asns = [||]; s_pfx = [||]; s_words = empty_ba;
+      s_arena = empty_ba; s_lpm = Lpm.build [] }
+  in
+  fst (build prop ~old:empty no_churn)
+
+let refreeze prop ~old churn =
+  Obs.Metrics.incr "routing.snapshot.patches";
+  let s, stats = build prop ~old churn in
+  Obs.Metrics.add "routing.snapshot.dirty_prefixes" stats.rf_dirty;
+  (s, stats)
 
 module Snapshot = struct
   type t = snapshot
 
-  let route = snap_route
-
-  let lookup s asn addr =
-    let i = Lpm.lookup_idx s.s_lpm addr in
-    if i < 0 then None
-    else
-      let pslot = Lpm.value_at s.s_lpm i in
-      let ai = slot_of_array Asn.compare s.s_asns asn in
-      Some (s.s_pfx.(pslot), route_at s ~pslot ~aslot:ai)
-
-  (* Parent chains walk packed words directly: each hop is one word
-     fetch plus one arena fetch (the segment head is the canonical
-     parent), with the origin set resolved once up front. *)
-  let as_path s asn p =
-    let os =
-      Option.value ~default:Asn.Set.empty (Ptrie.find_exact p s.s_origin_trie)
-    in
-    if Asn.Set.mem asn os then Some [ asn ]
-    else
-      let pslot = slot_of_array Prefix.compare s.s_pfx p in
-      let rec follow aslot acc guard =
-        let x = s.s_asns.(aslot) in
-        if guard > 64 then None
-        else if Asn.Set.mem x os then Some (List.rev (x :: acc))
-        else
-          match word_at s ~pslot ~aslot with
-          | 0 -> None
-          | w ->
-            follow
-              (Bigarray.Array1.get s.s_arena (w_off w))
-              (x :: acc) (guard + 1)
-      in
-      if pslot < 0 then None
-      else
-        let a0 = slot_of_array Asn.compare s.s_asns asn in
-        if a0 < 0 then None else follow a0 [] 0
-
-  let prefixes s = s.s_prefixes
   let prefix_count s = Array.length s.s_pfx
   let asn_count s = Array.length s.s_asns
   let arena_length s = Bigarray.Array1.dim s.s_arena
@@ -969,9 +813,9 @@ module Snapshot = struct
     let nw = Bigarray.Array1.dim s.s_words in
     let na = Bigarray.Array1.dim s.s_arena in
     let meta =
+      let p = s.s_prop in
       Marshal.to_string
-        ( s.s_net, s.s_rels, s.s_origin_trie, s.s_originated, s.s_selective,
-          s.s_prefixes, s.s_asns, s.s_pfx )
+        (p.net, p.rels, p.origin_trie, p.originated, p.selective, p.prefixes, s.s_asns, s.s_pfx)
         []
     in
     let payload_len = 32 + (8 * nw) + (8 * na) + String.length meta in
@@ -1054,12 +898,8 @@ module Snapshot = struct
                 Error Corrupt
               else
                 Ok
-                  { s_net = net;
-                    s_rels = rels;
-                    s_origin_trie = trie;
-                    s_originated = originated;
-                    s_selective = selective;
-                    s_prefixes = prefixes;
+                  { s_prop =
+                      { net; rels; origin_trie = trie; originated; selective; prefixes };
                     s_asns = asns;
                     s_pfx = pfx;
                     s_words;

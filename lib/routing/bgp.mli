@@ -7,16 +7,16 @@
     Per-link selective announcement (the Akamai-style policy of §6) is
     honoured at the edge between the origin and its direct neighbors.
 
-    Two evaluation modes share one propagation core:
-    - the lazy [t] computes per-prefix tables on demand behind a
-      two-generation cache — right for tiny one-shot runs;
-    - a frozen {!snapshot} computes every originated prefix once and
-      packs the results into flat int arenas ([Bigarray]s the GC never
-      traces): one packed word per (prefix, ASN) route plus a shared
-      next-hop arena. Pure data — safe to share by reference across
-      [Netcore.Pool] domains with zero per-worker rebuild, and
-      serializable to raw bytes ({!Snapshot.to_bytes}) for other
-      processes. *)
+    Routing has one representation. {!create} gathers a world's
+    propagation inputs; {!freeze} propagates every originated prefix
+    once and packs the results into a {!snapshot} of flat int arenas
+    ([Bigarray]s the GC never traces): one packed word per (prefix, ASN)
+    route plus a shared next-hop arena. A snapshot is pure data — safe
+    to share by reference across [Netcore.Pool] domains with zero
+    per-worker rebuild, and serializable to raw bytes
+    ({!Snapshot.to_bytes}) for other processes. Every routing query
+    ({!route}, {!lookup}, {!as_path}, ...) answers from a snapshot
+    through a {!t} attached with {!of_snapshot}. *)
 
 open Netcore
 module Net = Topogen.Net
@@ -30,19 +30,30 @@ type route = {
   parent : Asn.t option;  (** canonical next hop; [None] at the origin *)
 }
 
-type t
+(** The propagation inputs of one world: topology, relationships,
+    origins and selective announcements. Only {!freeze} and {!refreeze}
+    read them. *)
+type propagation
 
-(** [create net rels ~originated ~selective] prepares the propagation
-    state. [rels] must be the ground-truth relationship graph (real
+(** [create net rels ~originated ~selective] gathers the propagation
+    inputs. [rels] must be the ground-truth relationship graph (real
     routing does not run on inferred data). *)
 val create :
   Net.t ->
   Bgpdata.As_rel.t ->
   originated:(Prefix.t * Asn.Set.t) list ->
   selective:int list Prefix.Map.t Asn.Map.t ->
-  t
+  propagation
 
-(** [prefixes t] is every originated prefix, sorted (memoized). *)
+(** Immutable routing snapshot: per-prefix route tables for all
+    originated prefixes in dense (prefix slot x interned-ASN slot)
+    arrays, plus a flattened LPM over the origin set. *)
+type snapshot
+
+(** A routing view answering from a snapshot (see {!of_snapshot}). *)
+type t
+
+(** [prefixes t] is every originated prefix, sorted. *)
 val prefixes : t -> Prefix.t list
 
 (** [origins t p] is the origin set of [p]. *)
@@ -60,10 +71,10 @@ val is_origin : t -> Asn.t -> Prefix.t -> bool
 val lookup : t -> Asn.t -> Ipv4.t -> (Prefix.t * route option) option
 
 (** [lookup_slot t asn addr] is {!lookup} plus the matched prefix's
-    interned snapshot slot, or [-1] on the lazy (unfrozen) path. Callers
-    that loop over lookups — the forwarding plan, the crossing-link
-    sweeps — thread the slot to {!Snapshot.route_at}-style accessors
-    instead of re-binary-searching the prefix per query. *)
+    interned snapshot slot. Callers that loop over lookups — the
+    forwarding plan, the crossing-link sweeps — thread the slot to
+    {!Snapshot.route_at}-style accessors instead of re-binary-searching
+    the prefix per query. *)
 val lookup_slot : t -> Asn.t -> Ipv4.t -> (Prefix.t * int * route option) option
 
 (** [as_path t asn p] is the AS path [asn] would report toward [p]
@@ -80,22 +91,22 @@ val allowed_links : t -> origin:Asn.t -> p:Prefix.t -> int list option
     per (collector AS, prefix) with the collector's AS path. *)
 val collector_view : t -> Asn.t list -> Bgpdata.Rib.t
 
-(** {1 Frozen snapshots} *)
+(** {1 Freezing} *)
 
-(** Immutable routing snapshot: per-prefix route tables for all
-    originated prefixes in dense (prefix slot x interned-ASN slot)
-    arrays, plus a flattened LPM over the origin set. *)
-type snapshot
-
-(** [freeze t] computes every originated prefix's table once and
-    freezes the results. Answers are identical to the lazy path:
-    [Snapshot.route (freeze t) asn p = route t asn p] for all inputs.
-    Idempotent on an already-frozen [t]. Counted under the
-    [routing.snapshot.builds] metric by default; [?counter] redirects
-    the count (validation and bench scratch freezes use
+(** [freeze prop] propagates every originated prefix once, writing
+    packed route words straight from dense ASN-slot arrays. Counted
+    under the [routing.snapshot.builds] metric by default; [?counter]
+    redirects the count (validation and bench scratch freezes use
     ["routing.snapshot.scratch_builds"] so build accounting gates stay
     meaningful). *)
-val freeze : ?counter:string -> t -> snapshot
+val freeze : ?counter:string -> propagation -> snapshot
+
+(** [of_snapshot s] is the routing view answering from [s]. Counted
+    under [routing.snapshot.attaches]. *)
+val of_snapshot : snapshot -> t
+
+(** [snapshot_of t] is the snapshot [t] answers from. *)
+val snapshot_of : t -> snapshot
 
 (** {1 Incremental re-freeze}
 
@@ -116,7 +127,7 @@ type churn = {
           intact — BGP-invisible, forwarding-plan dirt only *)
 }
 
-(** The empty batch: [refreeze t ~old no_churn] patches nothing. *)
+(** The empty batch: [refreeze prop ~old no_churn] patches nothing. *)
 val no_churn : churn
 
 (** [churn_of_events evs] folds a [Topogen.Evolve] event batch into the
@@ -136,33 +147,23 @@ type refreeze_stats = {
           degraded to a full recompute *)
 }
 
-(** [refreeze t ~old churn] is the incremental form of {!freeze}: [t]
-    is the fresh propagation state of the post-churn world, [old] the
+(** [refreeze prop ~old churn] is the incremental form of {!freeze}:
+    [prop] holds the propagation inputs of the post-churn world, [old] the
     pre-churn snapshot. Only dirty prefixes (changed origins, new
     prefixes, and prefixes where a removed edge appeared in a next-hop
     segment) re-propagate; clean rows are blitted, new-stub columns are
     derived from their providers' packed words, and the LPM is shared
     (prefix set unchanged) or slot-patched. The result is semantically
-    identical to [freeze] of [t] from scratch ({!Snapshot.equal}).
+    identical to [freeze] of [prop] from scratch ({!Snapshot.equal}).
     Counted under [routing.snapshot.patches], with the dirty count
     under [routing.snapshot.dirty_prefixes]. *)
-val refreeze : t -> old:snapshot -> churn -> snapshot * refreeze_stats
+val refreeze : propagation -> old:snapshot -> churn -> snapshot * refreeze_stats
 
-(** [of_snapshot s] is a [t] answering from the frozen tables (with
-    private, empty caches — never mutated on the frozen read path).
-    Counted under [routing.snapshot.attaches]. *)
-val of_snapshot : snapshot -> t
-
-(** [snapshot_of t] is the snapshot [t] answers from, if frozen. *)
-val snapshot_of : t -> snapshot option
-
+(** Sizes, the zero-allocation slot layer, equality and the byte codec
+    of a snapshot. Boxed route queries go through {!of_snapshot}. *)
 module Snapshot : sig
   type t = snapshot
 
-  val route : t -> Asn.t -> Prefix.t -> route option
-  val lookup : t -> Asn.t -> Ipv4.t -> (Prefix.t * route option) option
-  val as_path : t -> Asn.t -> Prefix.t -> Asn.t list option
-  val prefixes : t -> Prefix.t list
   val prefix_count : t -> int
   val asn_count : t -> int
 

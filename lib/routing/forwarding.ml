@@ -184,7 +184,7 @@ let egress_candidates t asn p (route : Bgp.route) =
       List.rev_append ls acc)
     route.Bgp.nexthops []
 
-(* The single scoring path behind both the lazy memo and [freeze]:
+(* The single scoring path behind both the private memo and the plan:
    hot-potato (IGP-nearest near-side router), ties broken on lowest
    link id, encoded as the chosen lid or -1 for none. *)
 let egress_lid t rid p route =
@@ -250,106 +250,16 @@ let choose_egress ?(pslot = -1) t rid p (route : Bgp.route) =
   in
   if lid < 0 then None else Some (Net.link t.net lid)
 
-let freeze ?(egress_for = Asn.Set.empty) t =
-  Obs.Metrics.incr "routing.plan.builds";
-  let p_between = build_between t.net in
-  let p_routers = Net.router_count t.net in
-  (* IGP rows for every interdomain-link endpoint: these routers are
-     the targets of all egress scoring and of the internal walks toward
-     an egress, and they are identical for every VP. Home-router targets
-     stay lazy in each worker's private table. *)
-  let p_igp_row = Array.make p_routers (-1) in
-  let igp_targets = ref [] in
-  let igp_rows = ref 0 in
-  List.iter
-    (fun (l : Net.link) ->
-      List.iter
-        (fun rid ->
-          if p_igp_row.(rid) < 0 then begin
-            p_igp_row.(rid) <- !igp_rows;
-            incr igp_rows;
-            igp_targets := rid :: !igp_targets
-          end)
-        [ fst l.Net.a; fst l.Net.b ])
-    (Net.interdomain_links t.net);
-  let p_igp =
-    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
-      (!igp_rows * p_routers)
-  in
-  List.iter
-    (fun rid ->
-      let dist = compute_dist t.net rid in
-      let base = p_igp_row.(rid) * p_routers in
-      for i = 0 to p_routers - 1 do
-        Bigarray.Array1.set p_igp (base + i) dist.(i)
-      done)
-    !igp_targets;
-  (* Egress choices for the hot ASes (the VP-owning ones): every probe
-     starts there, so these (rid, prefix slot) pairs recur in every
-     worker. Prefix columns follow [Bgp.prefixes] order, which is the
-     snapshot's slot order, so [Bgp.lookup_slot] slots index directly. *)
-  let p_pfx = Array.of_list (Bgp.prefixes t.bgp) in
-  let np = Array.length p_pfx in
-  let p_egr_row = Array.make p_routers (-1) in
-  let egr_rows = ref 0 in
-  Asn.Set.iter
-    (fun asn ->
-      List.iter
-        (fun (r : Net.router) ->
-          if p_egr_row.(r.Net.rid) < 0 then begin
-            p_egr_row.(r.Net.rid) <- !egr_rows;
-            incr egr_rows
-          end)
-        (Net.routers_of t.net asn))
-    egress_for;
-  let p_egress =
-    Bigarray.Array1.create Bigarray.int Bigarray.c_layout (!egr_rows * np)
-  in
-  Bigarray.Array1.fill p_egress (-2);
-  let plan =
-    { p_routers; p_igp_row; p_igp; p_egr_row; p_pfx; p_egress; p_between }
-  in
-  (* Scoring runs against the plan itself: the IGP rows above are
-     exactly the distances egress selection needs, and the [-2] fill
-     keeps unwritten egress cells on the lazy path during the fill. *)
-  let scored = { t with plan = Some plan } in
-  let snap = Bgp.snapshot_of t.bgp in
-  Asn.Set.iter
-    (fun asn ->
-      (* Slot hoisting: intern the ASN once per AS and walk prefix
-         slots directly instead of binary-searching per (router,
-         prefix) query. *)
-      let aslot =
-        match snap with Some s -> Bgp.Snapshot.asn_slot s asn | None -> -1
-      in
-      List.iter
-        (fun (r : Net.router) ->
-          let base = p_egr_row.(r.Net.rid) * np in
-          Array.iteri
-            (fun pi p ->
-              let route =
-                match snap with
-                | Some s -> Bgp.Snapshot.route_at s ~pslot:pi ~aslot
-                | None -> Bgp.route t.bgp asn p
-              in
-              match route with
-              | None -> ()
-              | Some route ->
-                Bigarray.Array1.set p_egress (base + pi)
-                  (egress_lid scored r.Net.rid p route))
-            p_pfx)
-        (Net.routers_of t.net asn))
-    egress_for;
-  plan
-
 (* ------------------------------------------------------------------ *)
 (* Incremental plan patch, the forwarding side of [Bgp.refreeze].      *)
 
-(* [patch ?egress_for t ~old ~churn ~dirty] rebuilds only the plan
-   state reachable from dirty inputs. [t] must be a fresh instance over
-   the post-churn net and a [Bgp.t] attached to the patched snapshot;
-   [old] is the pre-churn plan; [dirty] the BGP-dirty prefixes
-   ([Bgp.refreeze_stats.rf_dirty_prefixes]).
+(* [build ~egress_for t ~old ~churn ~dirty] rebuilds only the plan
+   state reachable from dirty inputs and returns it with the number of
+   re-scored egress cells. [t] must be a fresh instance over the
+   post-churn net and a [Bgp.t] attached to the patched snapshot; [old]
+   is the pre-churn plan; [dirty] the BGP-dirty prefixes
+   ([Bgp.refreeze_stats.rf_dirty_prefixes]). A full [freeze] is a build
+   against the empty plan, where nothing can be reused.
 
    What can be reused, and why:
    - IGP distance rows: evolution never touches the *internal* topology
@@ -362,9 +272,16 @@ let freeze ?(egress_for = Asn.Set.empty) t =
      prefix set, or when some next hop z of a's route has (a, z) in the
      changed-interconnect set (candidate links differ with the route
      intact). Everything else scores identically, so the old lid is
-     copied. *)
-let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
-  Obs.Metrics.incr "routing.plan.patches";
+     copied.
+   IGP rows cover every interdomain-link endpoint: these routers are
+   the targets of all egress scoring and of the internal walks toward
+   an egress, and they are identical for every VP. Home-router targets
+   stay lazy in each worker's private table. Egress rows cover the hot
+   ASes [egress_for] (the VP-owning ones): every probe starts there, so
+   these (rid, prefix slot) cells recur in every worker. Prefix columns
+   follow the snapshot's slot order, so [Bgp.lookup_slot] slots index
+   them directly. *)
+let build ~egress_for t ~old ~(churn : Bgp.churn) ~dirty =
   let p_between = build_between t.net in
   let p_routers = Net.router_count t.net in
   let old_routers = old.p_routers in
@@ -465,14 +382,15 @@ let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
   let plan =
     { p_routers; p_igp_row; p_igp; p_egr_row; p_pfx; p_egress; p_between }
   in
+  (* Scoring runs against the plan itself: the IGP rows above are
+     exactly the distances egress selection needs, and the [-2] fill
+     keeps unwritten egress cells on the private memo during the fill. *)
   let scored = { t with plan = Some plan } in
   let snap = Bgp.snapshot_of t.bgp in
   let patched_cells = ref 0 in
   Asn.Set.iter
     (fun asn ->
-      let aslot =
-        match snap with Some s -> Bgp.Snapshot.asn_slot s asn | None -> -1
-      in
+      let aslot = Bgp.Snapshot.asn_slot snap asn in
       let affected =
         Option.value ~default:Asn.Set.empty (Asn.Tbl.find_opt changed_with asn)
       in
@@ -486,12 +404,7 @@ let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
           in
           Array.iteri
             (fun pi p ->
-              let route =
-                match snap with
-                | Some s -> Bgp.Snapshot.route_at s ~pslot:pi ~aslot
-                | None -> Bgp.route t.bgp asn p
-              in
-              match route with
+              match Bgp.Snapshot.route_at snap ~pslot:pi ~aslot with
               | None -> ()
               | Some route ->
                 let reuse =
@@ -515,7 +428,25 @@ let patch ?(egress_for = Asn.Set.empty) t ~old ~(churn : Bgp.churn) ~dirty =
             p_pfx)
         (Net.routers_of t.net asn))
     egress_for;
-  Obs.Metrics.add "routing.plan.patched_cells" !patched_cells;
+  (plan, !patched_cells)
+
+let empty_plan =
+  { p_routers = 0;
+    p_igp_row = [||];
+    p_igp = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0;
+    p_egr_row = [||];
+    p_pfx = [||];
+    p_egress = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0;
+    p_between = Hashtbl.create 1 }
+
+let freeze ?(egress_for = Asn.Set.empty) t =
+  Obs.Metrics.incr "routing.plan.builds";
+  fst (build ~egress_for t ~old:empty_plan ~churn:Bgp.no_churn ~dirty:[])
+
+let patch ?(egress_for = Asn.Set.empty) t ~old ~churn ~dirty =
+  Obs.Metrics.incr "routing.plan.patches";
+  let plan, patched_cells = build ~egress_for t ~old ~churn ~dirty in
+  Obs.Metrics.add "routing.plan.patched_cells" patched_cells;
   plan
 
 (* Semantic plan equality, the forwarding-side oracle of the churn

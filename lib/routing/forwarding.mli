@@ -20,21 +20,24 @@ type t
     [Netcore.Pool] domains. The distance and egress tables are packed
     into flat [Bigarray] rows (GC-invisible plain words) indexed by
     small per-router row tables; keys outside the plan fall back to
-    each worker's private lazy tables. *)
+    each worker's private memos. *)
 type plan
 
 (** [create ?plan net bgp] builds forwarding state over [bgp]. With
-    [plan], hot lookups answer from the shared frozen tables; without
-    it, everything is computed lazily per instance (the pre-snapshot
-    behaviour). A plan must only be paired with a [bgp] answering
-    identically to the one it was frozen from. *)
+    [plan], hot lookups answer from the shared frozen tables; IGP
+    distances and egress choices the plan does not cover (or all of
+    them, without a plan) are computed once per instance into private
+    memos. Routes always come from [bgp]'s snapshot. A plan must only be
+    paired with a [bgp] answering identically to the one it was frozen
+    from. *)
 val create : ?plan:plan -> Net.t -> Bgp.t -> t
 
 (** [freeze ?egress_for t] precomputes the shared read-only plan:
     the interdomain-link index, IGP distances to every interdomain-link
     endpoint, and — for each AS in [egress_for] — the egress choice of
     each of its routers for every originated prefix, via exactly the
-    same scoring path the lazy memo uses. Counted under the
+    same scoring path the private memo uses. It is {!patch} against the
+    empty plan, where nothing can be reused. Counted under the
     [routing.plan.builds] metric. *)
 val freeze : ?egress_for:Asn.Set.t -> t -> plan
 

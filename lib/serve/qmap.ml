@@ -141,6 +141,9 @@ let sample_addrs t =
   in
   Lpm.fold (fun p _ () -> push (Prefix.first p)) t.border ();
   (match t.snap with
-  | Some s -> List.iter (fun p -> push (Prefix.first p)) (Snapshot.prefixes s)
+  | Some s ->
+    for i = 0 to Snapshot.prefix_count s - 1 do
+      push (Prefix.first (Snapshot.prefix_of_slot s i))
+    done
   | None -> Lpm.fold (fun p _ () -> push (Prefix.first p)) t.origin_lpm ());
   Array.of_list (List.rev !acc)

@@ -5,9 +5,12 @@ module Bgp = Routing.Bgp
 
 let world = lazy (Gen.generate Topogen.Scenario.tiny)
 
-let bgp_of w =
-  Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-    ~selective:w.Gen.selective
+let snapshot_of w =
+  Bgp.freeze
+    (Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+       ~selective:w.Gen.selective)
+
+let bgp_of w = Bgp.of_snapshot (snapshot_of w)
 
 let test_all_prefixes_reachable_from_host () =
   let w = Lazy.force world in
@@ -157,70 +160,54 @@ let test_moas_origins () =
         (Asn.Set.mem extra_origin (Bgp.origins bgp p)))
     w.moas
 
-(* Route records hold Asn.Set.t values; compare through a projection so
-   the checks do not depend on balanced-tree internals. *)
-let proj = function
-  | None -> None
-  | Some (r : Bgp.route) ->
-    Some (r.cls, r.dist, Asn.Set.elements r.nexthops, r.parent)
-
+(* The packed snapshot against the naive fixpoint evaluator in
+   [Routing_oracle], which shares no code with the staged propagation:
+   every (ASN, prefix) route and AS path must agree. *)
 let test_snapshot_route_equivalence () =
   let w = Lazy.force world in
-  let snap = Bgp.freeze (bgp_of w) in
-  let lazy_bgp = bgp_of w in
-  let attached = Bgp.of_snapshot snap in
+  let snap = snapshot_of w in
+  let bgp = Bgp.of_snapshot snap in
+  let oracle = Routing_oracle.of_world w in
   let asns = Asn.Set.elements (Net.asns w.net) in
-  Alcotest.(check int) "prefix_count" (List.length (Bgp.prefixes lazy_bgp))
+  Alcotest.(check int) "prefix_count"
+    (List.length (Routing_oracle.prefixes oracle))
     (Bgp.Snapshot.prefix_count snap);
   Alcotest.(check bool) "asn_count covers the net" true
     (Bgp.Snapshot.asn_count snap >= List.length asns);
-  Alcotest.(check bool) "prefixes agree" true
-    (Bgp.Snapshot.prefixes snap = Bgp.prefixes lazy_bgp);
   List.iter
     (fun p ->
       List.iter
         (fun asn ->
-          let reference = proj (Bgp.route lazy_bgp asn p) in
           Alcotest.(check bool)
-            (Printf.sprintf "Snapshot.route AS%d %s" asn (Prefix.to_string p))
+            (Printf.sprintf "route AS%d %s" asn (Prefix.to_string p))
             true
-            (proj (Bgp.Snapshot.route snap asn p) = reference);
-          Alcotest.(check bool)
-            (Printf.sprintf "of_snapshot route AS%d %s" asn (Prefix.to_string p))
-            true
-            (proj (Bgp.route attached asn p) = reference))
+            (Routing_oracle.proj (Bgp.route bgp asn p) = Routing_oracle.route oracle asn p))
         asns)
-    (Bgp.prefixes lazy_bgp)
+    (Routing_oracle.prefixes oracle)
 
 let test_snapshot_lookup_and_paths () =
   let w = Lazy.force world in
-  let snap = Bgp.freeze (bgp_of w) in
-  let lazy_bgp = bgp_of w in
+  let bgp = bgp_of w in
+  let oracle = Routing_oracle.of_world w in
   let probes =
     Ipv4.of_string_exn "203.0.113.9"
     :: List.concat_map
          (fun p -> [ Prefix.first p; Ipv4.add (Prefix.first p) 1; Prefix.last p ])
-         (Bgp.prefixes lazy_bgp)
+         (Bgp.prefixes bgp)
   in
-  let lproj = Option.map (fun (p, r) -> (p, proj r)) in
   List.iter
     (fun addr ->
       Alcotest.(check bool)
-        (Printf.sprintf "Snapshot.lookup %s" (Ipv4.to_string addr))
+        (Printf.sprintf "lookup %s" (Ipv4.to_string addr))
         true
-        (lproj (Bgp.Snapshot.lookup snap w.host_asn addr)
-        = lproj (Bgp.lookup lazy_bgp w.host_asn addr)))
+        (Option.map
+           (fun (p, r) -> (p, Routing_oracle.proj r))
+           (Bgp.lookup bgp w.host_asn addr)
+        = Routing_oracle.lookup oracle w.host_asn addr))
     probes;
-  List.iter
-    (fun p ->
-      List.iter
-        (fun asn ->
-          Alcotest.(check bool)
-            (Printf.sprintf "Snapshot.as_path AS%d %s" asn (Prefix.to_string p))
-            true
-            (Bgp.Snapshot.as_path snap asn p = Bgp.as_path lazy_bgp asn p))
-        (w.host_asn :: w.collectors))
-    (Bgp.prefixes lazy_bgp)
+  match Routing_oracle.check oracle bgp ~asns:(w.host_asn :: w.collectors) with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m
 
 let suite =
   [ Alcotest.test_case "all prefixes reachable from host" `Quick

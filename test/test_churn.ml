@@ -3,7 +3,9 @@
    Forwarding.patch) pinned byte-identical to a from-scratch freeze of
    the evolved world — packed words, arena, every LPM answer, every
    IGP row and egress cell. Plus a QCheck property chaining random
-   multi-class event batches across epochs, shrinking to one seed. *)
+   multi-class event batches across epochs, shrinking to one seed, whose
+   last chained refreeze is also checked against the independent naive
+   evaluator of [Routing_oracle]. *)
 
 open Netcore
 module Gen = Topogen.Gen
@@ -137,23 +139,22 @@ let check_api_equiv inc scr =
   let asns =
     List.init (Bgp.Snapshot.asn_count inc) (Bgp.Snapshot.asn_of_slot inc)
   in
-  let pfx = Bgp.Snapshot.prefixes inc in
+  let inc = Bgp.of_snapshot inc and scr = Bgp.of_snapshot scr in
   List.iter
     (fun a ->
       List.iter
         (fun p ->
-          if Bgp.Snapshot.route inc a p <> Bgp.Snapshot.route scr a p then
+          if Bgp.route inc a p <> Bgp.route scr a p then
             QCheck.Test.fail_reportf "route AS%d %s differs" a
               (Prefix.to_string p);
-          if Bgp.Snapshot.as_path inc a p <> Bgp.Snapshot.as_path scr a p then
+          if Bgp.as_path inc a p <> Bgp.as_path scr a p then
             QCheck.Test.fail_reportf "as_path AS%d %s differs" a
               (Prefix.to_string p);
           let addr = Prefix.first p in
-          if Bgp.Snapshot.lookup inc a addr <> Bgp.Snapshot.lookup scr a addr
-          then
+          if Bgp.lookup inc a addr <> Bgp.lookup scr a addr then
             QCheck.Test.fail_reportf "lookup AS%d %s differs" a
               (Ipv4.to_string addr))
-        pfx)
+        (Bgp.prefixes inc))
     asns
 
 let prop_random_churn =
@@ -205,7 +206,14 @@ let prop_random_churn =
         snap := s;
         plan := p
       done;
-      true)
+      (* The last chained refreeze against the independent oracle. *)
+      let w' = !world in
+      match
+        Routing_oracle.check (Routing_oracle.of_world w') (Bgp.of_snapshot !snap)
+          ~asns:(w'.Gen.host_asn :: Asn.Set.elements (Topogen.Net.asns w'.Gen.net))
+      with
+      | Ok () -> true
+      | Error m -> QCheck.Test.fail_reportf "oracle after epoch %d: %s" schedule.Evolve.ev_epochs m)
 
 let suite =
   [ Alcotest.test_case "zero churn is a strict no-op" `Quick test_zero_churn;

@@ -78,7 +78,6 @@ let replay seed evs =
   let cfg =
     { Fault.probe_loss_p = 0.1;
       reply_loss_p = 0.1;
-      legacy_rl_p = 0.05;
       rl_share = 0.5;
       rl_rate = 2.0;
       rl_burst = 3.0;
@@ -90,7 +89,7 @@ let replay seed evs =
   let now = ref 0.0 in
   List.map
     (function
-      | Probe -> Fault.probe_lost st && Fault.legacy_rate_limited st
+      | Probe -> Fault.probe_lost st
       | Reply (rid, dt) ->
         now := !now +. dt;
         Fault.reply_allowed st ~rid ~now:!now)
@@ -111,8 +110,10 @@ let pipeline_lines inputs engine =
 let test_zero_config_noop () =
   let w = Gen.generate Topogen.Scenario.tiny in
   let bgp =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-      ~selective:w.Gen.selective
+    Routing.Bgp.of_snapshot
+      (Routing.Bgp.freeze
+         (Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+            ~selective:w.Gen.selective))
   in
   let inputs = Bdrmap.Pipeline.inputs_of_world w bgp in
   let fwd = Routing.Forwarding.create w.Gen.net bgp in

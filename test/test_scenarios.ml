@@ -51,49 +51,9 @@ let test_big_peer_links_scale_with_preset () =
   Alcotest.(check int) "45 big-peer links" 45
     (List.length (Net.interdomain_links_between w.net w.host_asn w.big_peer))
 
-let test_rate_limiting () =
-  (* A rate-limited engine still completes traces, with gaps. *)
-  let w = Gen.generate Topogen.Scenario.tiny in
-  let bgp =
-    Routing.Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-      ~selective:w.Gen.selective
-  in
-  let fwd = Routing.Forwarding.create w.Gen.net bgp in
-  (* Migrated off the deprecated [rate_limit_p] argument: the fault
-     config's [legacy_rl_p] feeds the same dedicated RNG stream, so the
-     drop sequence (and this test's counts) are unchanged. *)
-  let engine =
-    Probesim.Engine.create
-      ~fault:{ (Probesim.Fault.of_profile w) with Probesim.Fault.legacy_rl_p = 0.3 }
-      w fwd
-  in
-  let vp = List.hd w.vps in
-  let dsts =
-    List.filter_map
-      (fun (p, o) ->
-        if Asn.Set.mem w.host_asn o then None else Some (Ipv4.add (Prefix.first p) 1))
-      (Gen.originated w)
-    |> List.filteri (fun i _ -> i < 30)
-  in
-  let with_reply, without_reply =
-    List.fold_left
-      (fun (r, n) dst ->
-        let hops = Probesim.Engine.traceroute engine ~vp ~dst () in
-        List.fold_left
-          (fun (r, n) (h : Probesim.Engine.hop) ->
-            match h.reply with
-            | Some _ -> (r + 1, n)
-            | None -> (r, n + 1))
-          (r, n) hops)
-      (0, 0) dsts
-  in
-  Alcotest.(check bool) "some replies survive" true (with_reply > 50);
-  Alcotest.(check bool) "rate limiting produces gaps" true (without_reply > 10)
-
 let suite =
   [ Alcotest.test_case "presets generate" `Quick test_presets_generate;
     Alcotest.test_case "tier1 has no providers" `Quick test_tier1_has_no_providers;
     Alcotest.test_case "scale shrinks" `Quick test_scale_shrinks;
     Alcotest.test_case "by_name" `Quick test_by_name;
-    Alcotest.test_case "big peer link count" `Quick test_big_peer_links_scale_with_preset;
-    Alcotest.test_case "rate limiting" `Quick test_rate_limiting ]
+    Alcotest.test_case "big peer link count" `Quick test_big_peer_links_scale_with_preset ]

@@ -221,7 +221,17 @@ let test_mapfile_roundtrip () =
   let wrong = Bytes.copy b in
   Bytes.blit_string "NOPE" 0 wrong 0 4;
   Alcotest.(check bool) "wrong magic is typed" true
-    (Bdrmap.Mapfile.of_bytes wrong = Error Bdrmap.Mapfile.Bad_magic)
+    (Bdrmap.Mapfile.of_bytes wrong = Error Bdrmap.Mapfile.Bad_magic);
+  (* A length byte >= 0x40 at offset 24 decodes to a negative length;
+     it must be a typed error, not an [Invalid_argument] from a
+     negative-length sub-string. *)
+  let negative = Bytes.copy b in
+  Bytes.set negative 24 '\x40';
+  Alcotest.(check bool) "negative declared length is Corrupt" true
+    (Bdrmap.Mapfile.of_bytes negative = Error Bdrmap.Mapfile.Corrupt);
+  let trailing = Bytes.cat b (Bytes.of_string "junk") in
+  Alcotest.(check bool) "trailing bytes are Corrupt" true
+    (Bdrmap.Mapfile.of_bytes trailing = Error Bdrmap.Mapfile.Corrupt)
 
 (* -- Server.handle: the zero-alloc pin -- *)
 

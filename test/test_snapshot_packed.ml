@@ -1,6 +1,7 @@
 (* The packed snapshot (flat route words + next-hop arena in
-   GC-invisible Bigarrays) pinned against the lazy boxed evaluator over
-   random worlds, plus the raw-byte codec: round-trip identity, and
+   GC-invisible Bigarrays) pinned against the naive boxed fixpoint
+   evaluator of [Routing_oracle] over random worlds, plus the raw-byte
+   codec: round-trip identity, and
    typed rejection of corrupted, truncated, and mislabeled entries in
    the lib/store miss style. *)
 
@@ -10,16 +11,10 @@ module Gen = Topogen.Gen
 module Bgp = Routing.Bgp
 module S = Bgp.Snapshot
 
-let bgp_of (w : Gen.world) =
-  Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
-    ~selective:w.Gen.selective
-
-(* Route records hold Asn.Set.t values; compare through a projection so
-   the checks do not depend on balanced-tree internals. *)
-let proj = function
-  | None -> None
-  | Some (r : Bgp.route) ->
-    Some (r.cls, r.dist, Asn.Set.elements r.nexthops, r.parent)
+let freeze_world (w : Gen.world) =
+  Bgp.freeze
+    (Bgp.create w.Gen.net w.Gen.rels_truth ~originated:(Gen.originated w)
+       ~selective:w.Gen.selective)
 
 (* Random worlds: the r_and_e preset (the smallest parameterized
    scenario) across random seeds and scales. Worlds are deterministic
@@ -34,45 +29,22 @@ let prop_packed_equals_boxed =
   QCheck.Test.make ~name:"packed snapshot = boxed evaluator on random worlds"
     ~count:10 arb_world (fun (scale, seed) ->
       let w = Gen.generate (Topogen.Scenario.r_and_e ~scale ~seed ()) in
-      let snap = Bgp.freeze (bgp_of w) in
-      let boxed = bgp_of w in
-      let asns = Asn.Set.elements (Net.asns w.Gen.net) in
-      let prefixes = Bgp.prefixes boxed in
-      (* route: every (ASN, prefix) cell of the packed matrix decodes to
-         the boxed record. *)
-      List.for_all
-        (fun p ->
-          List.for_all
-            (fun asn -> proj (S.route snap asn p) = proj (Bgp.route boxed asn p))
-            asns)
-        prefixes
-      (* lookup: LPM resolution agrees on hits, misses and boundaries. *)
-      && (let lproj = Option.map (fun (p, r) -> (p, proj r)) in
-          let probes =
-            Ipv4.of_string_exn "203.0.113.9"
-            :: List.concat_map
-                 (fun p -> [ Prefix.first p; Prefix.last p ])
-                 prefixes
-          in
-          List.for_all
-            (fun addr ->
-              lproj (S.lookup snap w.Gen.host_asn addr)
-              = lproj (Bgp.lookup boxed w.Gen.host_asn addr))
-            probes)
-      (* as_path: the packed parent-slot walk reproduces the boxed
-         parent chain for every AS in the world. *)
-      && List.for_all
-           (fun p ->
-             List.for_all
-               (fun asn -> S.as_path snap asn p = Bgp.as_path boxed asn p)
-               asns)
-           prefixes)
+      let bgp = Bgp.of_snapshot (freeze_world w) in
+      (* Every (ASN, prefix) cell of the packed matrix decodes to the
+         oracle's route, the packed parent-slot walk reproduces its
+         parent chain, and LPM resolution agrees on hits, misses and
+         boundaries. *)
+      match
+        Routing_oracle.check (Routing_oracle.of_world w) bgp
+          ~asns:(w.Gen.host_asn :: Asn.Set.elements (Net.asns w.Gen.net))
+      with
+      | Ok () -> true
+      | Error m -> QCheck.Test.fail_reportf "scale=%.2f seed=%d: %s" scale seed m)
 
 (* ------------------------------------------------------------------ *)
 (* Serialization. *)
 
-let tiny_snapshot =
-  lazy (Bgp.freeze (bgp_of (Gen.generate Topogen.Scenario.tiny)))
+let tiny_snapshot = lazy (freeze_world (Gen.generate Topogen.Scenario.tiny))
 
 let err_label = function
   | Ok _ -> "ok"
@@ -87,7 +59,8 @@ let test_roundtrip () =
     Alcotest.(check int) "prefix_count" (S.prefix_count snap) (S.prefix_count snap');
     Alcotest.(check int) "asn_count" (S.asn_count snap) (S.asn_count snap');
     Alcotest.(check int) "arena_length" (S.arena_length snap) (S.arena_length snap');
-    Alcotest.(check bool) "prefixes" true (S.prefixes snap' = S.prefixes snap);
+    let bgp = Bgp.of_snapshot snap and bgp' = Bgp.of_snapshot snap' in
+    Alcotest.(check bool) "prefixes" true (Bgp.prefixes bgp' = Bgp.prefixes bgp);
     (* Every packed word survives: decode both sides cell by cell. *)
     let np = S.prefix_count snap and na = S.asn_count snap in
     for pslot = 0 to np - 1 do
@@ -104,9 +77,9 @@ let test_roundtrip () =
             Alcotest.(check bool)
               (Printf.sprintf "route AS%d %s" asn (Prefix.to_string p))
               true
-              (proj (S.route snap' asn p) = proj (S.route snap asn p)))
+              (Routing_oracle.proj (Bgp.route bgp' asn p) = Routing_oracle.proj (Bgp.route bgp asn p)))
           [ 64500; 64501; 65000 ])
-      (S.prefixes snap);
+      (Bgp.prefixes bgp);
     (* Re-encoding is byte-identical: the codec is canonical. *)
     Alcotest.(check bool) "re-encode is byte-identical" true
       (Bytes.equal (S.to_bytes snap') b)
