@@ -22,13 +22,6 @@ type t = {
 
 val run : Engine.t -> Config.t -> Ip2as.t -> vp:Gen.vp -> Targets.block list -> t
 
-(** [run_with prober cfg ip2as blocks] drives collection through an
-    abstract prober — the local engine binding or the §5.8 offload
-    channel ({!Probesim.Offload.remote}). [vp_name] labels the
-    observability spans of this run, nothing else. *)
-val run_with :
-  ?vp_name:string -> Probesim.Prober.t -> Config.t -> Ip2as.t -> Targets.block list -> t
-
 (** [alias_oracle engine cfg] is the combined Mercator + repeated-Ally
     oracle used for candidate pairs and prefixscan, recording every
     verdict into the supplied graph. *)

@@ -2,22 +2,12 @@
     link set plus the origin view a query server needs to answer
     [owner]/[crossings]/[provenance] without re-running the pipeline.
 
-    Entries follow the [lib/store] header discipline:
-
-    {v
-      offset  size  field
-      0       4     magic "BDMF"
-      4       4     codec version (big-endian)
-      8       16    MD5 digest of the payload
-      24      8     payload length (big-endian)
-      32      n     payload
-    v}
-
-    The payload is the marshalled {!t} — boxed metadata only, no packed
-    arenas (the routing snapshot travels separately through
-    {!Routing.Bgp.Snapshot.to_bytes}). Decoding validates magic,
-    version, declared length and digest before unmarshalling, so a
-    flipped byte is a typed {!decode_error}, never a [Marshal] crash. *)
+    The artifact is a {!Store.Frame} with magic ["BDMF"] and no tag,
+    whose payload is the marshalled {!t} — boxed metadata only, no
+    packed arenas (the routing snapshot travels separately through
+    {!Routing.Bgp.Snapshot.to_bytes}). The frame is validated before
+    unmarshalling, so a flipped byte is a typed error, never a
+    [Marshal] crash. *)
 
 open Netcore
 
@@ -33,7 +23,7 @@ type t = {
     [origins] from [bgp]'s originated prefixes. *)
 val make : host_asns:Asn.Set.t -> bgp:Routing.Bgp.t -> Aggregate.merged list -> t
 
-type decode_error = Truncated | Bad_magic | Bad_version of int | Corrupt
+type decode_error = Store.Frame.error
 
 val error_label : decode_error -> string
 
@@ -43,9 +33,10 @@ val codec_version : int
 val to_bytes : t -> bytes
 val of_bytes : bytes -> (t, decode_error) result
 
-(** [save path t] writes atomically (temp file + rename, store-style):
-    a killed writer leaves the previous file or nothing, never a torn
-    artifact. *)
+(** [save path t] writes through {!Store.Frame.publish}: a killed
+    writer leaves the previous file or nothing, never a torn artifact. *)
 val save : string -> t -> unit
 
+(** [load path] never raises; a missing or unreadable path (a
+    directory, say) is [Absent]. *)
 val load : string -> (t, decode_error) result

@@ -31,29 +31,35 @@ let key ?(epoch = "") ~(world : Gen.world) ~pps ~(cfg : Config.t)
       vp.Gen.vp_name,
       cfg )
 
-(* Fetch and decode one entry. The store validates magic/version/key/
-   digest; [Marshal.from_string] can still raise on an entry whose key
-   namespace lied about the layout, so that too degrades to a miss. *)
-let fetch (type a) st ~key ~what : a option =
-  match Store.read st ~key with
-  | Ok payload -> (
-    match (Marshal.from_string payload 0 : a) with
-    | v ->
-      Obs.Metrics.incr "store.hits";
-      Obs.Metrics.add "store.bytes_read" (String.length payload);
-      Some v
-    | exception _ ->
-      Obs.Log.warn "store: undecodable %s entry %s; recomputing" what key;
-      Obs.Metrics.incr "store.misses";
-      None)
-  | Error Store.Absent ->
-    Obs.Metrics.incr "store.misses";
-    None
+(* Fetch and decode one entry. A missing entry is a silent miss; any
+   other, including a payload [decode] rejects, is logged too. Either
+   way the caller recomputes. *)
+let fetch ~hit ~miss st ~key ~what decode =
+  let decoded =
+    Result.bind (Store.read st ~key) (fun payload ->
+        Result.map (fun v -> (v, String.length payload)) (decode payload))
+  in
+  match decoded with
+  | Ok (v, n) ->
+    Obs.Metrics.incr hit;
+    Obs.Metrics.add "store.bytes_read" n;
+    Some v
   | Error m ->
-    Obs.Log.warn "store: %s %s entry %s; recomputing" (Store.miss_label m)
-      what key;
-    Obs.Metrics.incr "store.misses";
+    if m <> Store.Absent then
+      Obs.Log.warn "store: %s %s entry %s; recomputing" (Store.Frame.error_label m)
+        what key;
+    Obs.Metrics.incr miss;
     None
+
+(* The store's frame guards the bytes; [Marshal.from_string] can still
+   raise on an entry whose key namespace lied about the layout. *)
+let unmarshal (type a) payload : (a, Store.miss) result =
+  match (Marshal.from_string payload 0 : a) with
+  | v -> Ok v
+  | exception _ -> Error Store.Corrupt
+
+let fetch_marshaled st ~key ~what =
+  fetch ~hit:"store.hits" ~miss:"store.misses" st ~key ~what unmarshal
 
 let put st ~key v =
   let payload = Marshal.to_string v [] in
@@ -64,7 +70,7 @@ let put st ~key v =
 let load ?epoch st ~world ~pps ~cfg ~vp =
   let key = key ?epoch ~world ~pps ~cfg ~vp () in
   Obs.Span.with_span ~stage:"store" ~vp:vp.Gen.vp_name (fun () ->
-      (fetch st ~key ~what:"run" : snapshot option))
+      (fetch_marshaled st ~key ~what:"run" : snapshot option))
 
 let save ?epoch st ~world ~pps ~cfg ~vp (s : snapshot) =
   let key = key ?epoch ~world ~pps ~cfg ~vp () in
@@ -84,34 +90,16 @@ let bgp_snapshot_key ?(epoch = "") ~(world : Gen.world) () =
       world.Gen.params,
       epoch )
 
+(* Counted apart from the per-VP checkpoint traffic
+   ([store.hits]/[store.misses]): one snapshot serves a whole sweep, so
+   folding it into the per-VP counters would break their
+   one-entry-per-VP accounting. *)
 let load_bgp_snapshot ?epoch st ~world =
   let key = bgp_snapshot_key ?epoch ~world () in
   Obs.Span.with_span ~stage:"store" ~vp:"shared" (fun () ->
-      match Store.read st ~key with
-      | Ok payload -> (
-        match Routing.Bgp.Snapshot.of_bytes (Bytes.of_string payload) with
-        | Ok s ->
-          (* Counted apart from the per-VP checkpoint traffic
-             ([store.hits]/[store.misses]): one snapshot serves a whole
-             sweep, so folding it into the per-VP counters would break
-             their one-entry-per-VP accounting. *)
-          Obs.Metrics.incr "store.snapshot.hits";
-          Obs.Metrics.add "store.bytes_read" (String.length payload);
-          Some s
-        | Error e ->
-          Obs.Log.warn "store: %s bgp-snapshot entry %s; recomputing"
-            (Routing.Bgp.Snapshot.error_label e)
-            key;
-          Obs.Metrics.incr "store.snapshot.misses";
-          None)
-      | Error Store.Absent ->
-        Obs.Metrics.incr "store.snapshot.misses";
-        None
-      | Error m ->
-        Obs.Log.warn "store: %s bgp-snapshot entry %s; recomputing"
-          (Store.miss_label m) key;
-        Obs.Metrics.incr "store.snapshot.misses";
-        None)
+      fetch ~hit:"store.snapshot.hits" ~miss:"store.snapshot.misses" st ~key
+        ~what:"bgp-snapshot" (fun payload ->
+          Routing.Bgp.Snapshot.of_bytes (Bytes.of_string payload)))
 
 let save_bgp_snapshot ?epoch st ~world s =
   let key = bgp_snapshot_key ?epoch ~world () in
@@ -124,7 +112,7 @@ let save_bgp_snapshot ?epoch st ~world s =
       Obs.Metrics.add "store.bytes_written" bytes)
 
 let memo st ~key ?vp ~what f =
-  match Obs.Span.with_span ~stage:"store" ?vp (fun () -> fetch st ~key ~what)
+  match Obs.Span.with_span ~stage:"store" ?vp (fun () -> fetch_marshaled st ~key ~what)
   with
   | Some v -> v
   | None ->

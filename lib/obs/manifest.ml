@@ -113,18 +113,9 @@ let render ~command ~scale ~jobs ?seed ?config ?(extra = []) () =
   addf "  \"created_unix\": %.0f\n}\n" (Unix.gettimeofday ());
   Buffer.contents buf
 
-(* Atomic and exception-safe: the manifest is observed either complete
-   or not at all, and the channel never leaks — a command that dies
+(* Published through the one temp-and-rename helper: the manifest is
+   observed either complete or not at all, and a command that dies
    while writing leaves no torn manifest behind. *)
 let write ~path ~command ~scale ~jobs ?seed ?config ?extra () =
   let s = render ~command ~scale ~jobs ?seed ?config ?extra () in
-  let tmp = path ^ ".tmp" in
-  (try
-     let oc = open_out tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () -> output_string oc s)
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+  Store.Frame.publish path (fun oc -> output_string oc s)

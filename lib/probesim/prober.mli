@@ -1,13 +1,9 @@
 (** The probing interface the collection driver runs against. The paper's
     contribution 2 (§5.8) splits bdrmap into a dumb prober (scamper on
     the measurement device) and a central controller holding all state;
-    this abstraction makes the driver indifferent to which side it is on:
-
-    - {!local} binds directly to the simulation engine (standalone
-      deployment);
-    - {!Offload.remote} (see {!module:Offload}) tunnels every probe
-      through a serialized request/response channel, as the
-      device/controller split does. *)
+    this abstraction keeps collection indifferent to which side it is
+    on. {!local} binds directly to the simulation engine (standalone
+    deployment), the only binding the pipeline runs. *)
 
 open Netcore
 module Gen = Topogen.Gen

@@ -772,16 +772,8 @@ module Snapshot = struct
 
   (* {2 Serialization}
 
-     A snapshot entry is raw packed arenas plus marshaled boxed
-     metadata, guarded by the same header/digest discipline as
-     [lib/store] entries:
-
-       offset  size  field
-       0       4     magic "BDSN"
-       4       4     codec version (big-endian)
-       8       16    MD5 digest of the payload
-       24      8     payload length (big-endian)
-       32      n     payload
+     A snapshot is a [Store.Frame] (magic "BDSN", no tag) over raw
+     packed arenas plus marshaled boxed metadata:
 
      payload := u64 n_pfx | u64 n_asn | u64 |words| | u64 |arena|
               | words (8 bytes each, big-endian)
@@ -790,22 +782,15 @@ module Snapshot = struct
                            selective, prefixes, asns, pfx)
 
      The LPM is rebuilt on load (a pure function of the prefix list)
-     rather than shipped. Any flipped byte fails the digest check; a
-     wrong declared length fails before any allocation is sized from
-     attacker-controlled counts. *)
-  type decode_error = Truncated | Bad_magic | Bad_version of int | Corrupt
-
-  let error_label = function
-    | Truncated -> "truncated"
-    | Bad_magic -> "bad magic"
-    | Bad_version v -> Printf.sprintf "unsupported version %d" v
-    | Corrupt -> "corrupt"
+     rather than shipped. Any flipped byte fails the frame's digest; the
+     counts are bounded by the bytes present before any allocation is
+     sized from them. *)
 
   (* v2: Net.link gained the [live] retirement flag (marshaled inside
      the metadata tuple), so v1 entries no longer decode. *)
   let codec_version = 2
   let magic = "BDSN"
-  let header_len = 32
+  let header_len = Store.Frame.header_len 0
 
   let to_bytes s =
     let np = Array.length s.s_pfx in
@@ -836,76 +821,65 @@ module Snapshot = struct
       put_u64 (Bigarray.Array1.get s.s_arena i)
     done;
     Bytes.blit_string meta 0 b !pos (String.length meta);
-    Bytes.blit_string magic 0 b 0 4;
-    Bytes.set_int32_be b 4 (Int32.of_int codec_version);
-    let digest = Digest.subbytes b header_len payload_len in
-    Bytes.blit_string digest 0 b 8 16;
-    Bytes.set_int64_be b 24 (Int64.of_int payload_len);
+    Store.Frame.seal ~magic ~version:codec_version b;
     b
 
   let of_bytes b =
-    let len = Bytes.length b in
-    if len < header_len then Error Truncated
-    else if not (String.equal (Bytes.sub_string b 0 4) magic) then Error Bad_magic
-    else
-      let version = Int32.to_int (Bytes.get_int32_be b 4) in
-      if version <> codec_version then Error (Bad_version version)
-      else
-        let payload_len = Int64.to_int (Bytes.get_int64_be b 24) in
-        if payload_len < 32 || len <> header_len + payload_len then Error Truncated
-        else if
-          not
-            (String.equal
-               (Bytes.sub_string b 8 16)
-               (Digest.subbytes b header_len payload_len))
-        then Error Corrupt
+    match Store.Frame.unseal ~magic ~version:codec_version b with
+    | Error e -> Error e
+    | Ok off ->
+      let u64_at o = Int64.to_int (Bytes.get_int64_be b o) in
+      let rest = Bytes.length b - off - 32 in
+      if rest < 0 then Error Store.Frame.Corrupt
+      else begin
+        (* Words that fit after the four counts. Each count is checked
+           against it, the product by division, so nothing overflows. *)
+        let room = rest / 8 in
+        let np = u64_at off in
+        let n = u64_at (off + 8) in
+        let nw = u64_at (off + 16) in
+        let na = u64_at (off + 24) in
+        if
+          np < 0 || n < 0 || nw < 0 || na < 0 || nw > room || na > room - nw
+          || (np = 0 && nw <> 0)
+          || (np > 0 && (n > nw / np || np * n <> nw))
+        then Error Store.Frame.Corrupt
         else begin
-          let u64_at off = Int64.to_int (Bytes.get_int64_be b off) in
-          let np = u64_at header_len in
-          let n = u64_at (header_len + 8) in
-          let nw = u64_at (header_len + 16) in
-          let na = u64_at (header_len + 24) in
-          let arrays_len = 8 * (nw + na) in
-          if
-            np < 0 || n < 0 || nw <> np * n || na < 0
-            || payload_len < 32 + arrays_len
-          then Error Corrupt
-          else begin
-            let s_words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nw in
-            let s_arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout na in
-            let pos = ref (header_len + 32) in
-            for i = 0 to nw - 1 do
-              Bigarray.Array1.set s_words i (u64_at !pos);
-              pos := !pos + 8
-            done;
-            for i = 0 to na - 1 do
-              Bigarray.Array1.set s_arena i (u64_at !pos);
-              pos := !pos + 8
-            done;
-            match
-              (Marshal.from_string (Bytes.unsafe_to_string b) !pos
-                : Net.t
-                  * B.As_rel.t
-                  * Asn.Set.t Ptrie.t
-                  * (Prefix.t * Asn.Set.t) list
-                  * int list Prefix.Map.t Asn.Map.t
-                  * Prefix.t list
-                  * Asn.t array
-                  * Prefix.t array)
-            with
-            | net, rels, trie, originated, selective, prefixes, asns, pfx ->
-              if Array.length pfx <> np || Array.length asns <> n then
-                Error Corrupt
-              else
-                Ok
-                  { s_prop =
-                      { net; rels; origin_trie = trie; originated; selective; prefixes };
-                    s_asns = asns;
-                    s_pfx = pfx;
-                    s_words;
-                    s_arena;
-                    s_lpm = Lpm.build (List.mapi (fun i p -> (p, i)) prefixes) }
-            | exception _ -> Error Corrupt
-          end
+          let s_words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout nw in
+          let s_arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout na in
+          let pos = ref (off + 32) in
+          for i = 0 to nw - 1 do
+            Bigarray.Array1.set s_words i (u64_at !pos);
+            pos := !pos + 8
+          done;
+          for i = 0 to na - 1 do
+            Bigarray.Array1.set s_arena i (u64_at !pos);
+            pos := !pos + 8
+          done;
+          match
+            (Marshal.from_bytes b !pos
+              : Net.t
+                * B.As_rel.t
+                * Asn.Set.t Ptrie.t
+                * (Prefix.t * Asn.Set.t) list
+                * int list Prefix.Map.t Asn.Map.t
+                * Prefix.t list
+                * Asn.t array
+                * Prefix.t array)
+          with
+          | net, rels, trie, originated, selective, prefixes, asns, pfx ->
+            if Array.length pfx <> np || Array.length asns <> n then
+              Error Store.Frame.Corrupt
+            else
+              Ok
+                { s_prop =
+                    { net; rels; origin_trie = trie; originated; selective; prefixes };
+                  s_asns = asns;
+                  s_pfx = pfx;
+                  s_words;
+                  s_arena;
+                  s_lpm = Lpm.build (List.mapi (fun i p -> (p, i)) prefixes) }
+          | exception _ -> Error Store.Frame.Corrupt
         end
+      end
 end

@@ -219,24 +219,17 @@ module Snapshot : sig
 
   (** {2 Serialization}
 
-      A snapshot round-trips through raw bytes under the same
-      header/digest discipline as [lib/store] entries: magic ["BDSN"],
-      codec version, MD5 digest over the payload, declared payload
-      length. Packed arenas are written as raw words; only the boxed
-      metadata (net, relationships, origin trie) goes through
-      [Marshal]. The LPM is rebuilt on load. *)
-
-  type decode_error = Truncated | Bad_magic | Bad_version of int | Corrupt
-
-  val error_label : decode_error -> string
+      A snapshot round-trips through raw bytes as a {!Store.Frame} with
+      magic ["BDSN"] and no tag. Packed arenas are written as raw
+      words; only the boxed metadata (net, relationships, origin trie)
+      goes through [Marshal]. The LPM is rebuilt on load. *)
 
   (** Current serialization format version (bump on layout change). *)
   val codec_version : int
 
   val to_bytes : t -> bytes
 
-  (** [of_bytes b] validates header, version, digest, and declared
-      counts before reconstructing; any flipped byte is [Corrupt], any
-      short read [Truncated]. *)
-  val of_bytes : bytes -> (t, decode_error) result
+  (** [of_bytes b] validates the frame, then bounds the declared counts
+      by the bytes present before reconstructing. Never raises. *)
+  val of_bytes : bytes -> (t, Store.Frame.error) result
 end

@@ -266,7 +266,8 @@ let choose_egress ?(pslot = -1) t rid p (route : Bgp.route) =
      of a pre-churn AS (new routers belong to new ASes, link events are
      interdomain), so an old target's distance row is still exact;
      routers added since are internally unreachable from it (infinity).
-     Only endpoints that gained a row (new interconnects) run Dijkstra.
+     Only endpoints that gained a row (new interconnects) run Dijkstra;
+     when none did and no router was added, the old table is shared.
    - Egress cells: a cell (router of AS a, prefix p) is recomputed when
      p is BGP-dirty (its route may differ), when p left/entered the
      prefix set, or when some next hop z of a's route has (a, z) in the
@@ -299,31 +300,46 @@ let build ~egress_for t ~old ~(churn : Bgp.churn) ~dirty =
           end)
         [ fst l.Net.a; fst l.Net.b ])
     (Net.interdomain_links t.net);
-  let p_igp =
-    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
-      (!igp_rows * p_routers)
+  (* With no router added and every target already holding an old row,
+     each row would be copied verbatim: share the old table (never
+     written after its build) under the old row indices. Rows of
+     targets that lost their last interconnect stay unreferenced. *)
+  let share =
+    p_routers = old_routers
+    && List.for_all (fun rid -> old.p_igp_row.(rid) >= 0) !igp_targets
   in
-  List.iter
-    (fun rid ->
-      let base = p_igp_row.(rid) * p_routers in
-      let orow = if rid < old_routers then old.p_igp_row.(rid) else -1 in
-      if orow >= 0 then begin
-        let obase = orow * old_routers in
-        for i = 0 to old_routers - 1 do
-          Bigarray.Array1.set p_igp (base + i)
-            (Bigarray.Array1.get old.p_igp (obase + i))
-        done;
-        for i = old_routers to p_routers - 1 do
-          Bigarray.Array1.set p_igp (base + i) infinity
-        done
-      end
-      else begin
-        let dist = compute_dist t.net rid in
-        for i = 0 to p_routers - 1 do
-          Bigarray.Array1.set p_igp (base + i) dist.(i)
-        done
-      end)
-    !igp_targets;
+  let p_igp =
+    if share then begin
+      List.iter (fun rid -> p_igp_row.(rid) <- old.p_igp_row.(rid)) !igp_targets;
+      old.p_igp
+    end
+    else begin
+      let p_igp =
+        Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
+          (!igp_rows * p_routers)
+      in
+      List.iter
+        (fun rid ->
+          let base = p_igp_row.(rid) * p_routers in
+          let orow = if rid < old_routers then old.p_igp_row.(rid) else -1 in
+          if orow >= 0 then begin
+            Bigarray.Array1.blit
+              (Bigarray.Array1.sub old.p_igp (orow * old_routers) old_routers)
+              (Bigarray.Array1.sub p_igp base old_routers);
+            Bigarray.Array1.fill
+              (Bigarray.Array1.sub p_igp (base + old_routers) (p_routers - old_routers))
+              infinity
+          end
+          else begin
+            let dist = compute_dist t.net rid in
+            for i = 0 to p_routers - 1 do
+              Bigarray.Array1.set p_igp (base + i) dist.(i)
+            done
+          end)
+        !igp_targets;
+      p_igp
+    end
+  in
   let p_pfx = Array.of_list (Bgp.prefixes t.bgp) in
   let np = Array.length p_pfx in
   let np_old = Array.length old.p_pfx in
@@ -388,6 +404,24 @@ let build ~egress_for t ~old ~(churn : Bgp.churn) ~dirty =
   let scored = { t with plan = Some plan } in
   let snap = Bgp.snapshot_of t.bgp in
   let patched_cells = ref 0 in
+  (* A router's egress toward a single next-hop AS [n] does not depend
+     on the prefix unless [n] pins the prefix to chosen links, so such
+     cells score once per (router, next hop): [by_hop] holds the lid by
+     next-hop slot, [-2] for not yet scored. *)
+  let by_hop = Array.make (max 1 (Bgp.Snapshot.asn_count snap)) (-2) in
+  let score rid p ~pslot ~aslot w =
+    let n = Bgp.Snapshot.nexthop_slot snap w 0 in
+    let route () = Option.get (Bgp.Snapshot.route_at snap ~pslot ~aslot) in
+    if
+      Bgp.Snapshot.word_nexthop_count w > 1
+      || Option.is_some
+           (Bgp.allowed_links t.bgp ~origin:(Bgp.Snapshot.asn_of_slot snap n) ~p)
+    then egress_lid scored rid p (route ())
+    else begin
+      if by_hop.(n) = -2 then by_hop.(n) <- egress_lid scored rid p (route ());
+      by_hop.(n)
+    end
+  in
   Asn.Set.iter
     (fun asn ->
       let aslot = Bgp.Snapshot.asn_slot snap asn in
@@ -396,32 +430,42 @@ let build ~egress_for t ~old ~(churn : Bgp.churn) ~dirty =
       in
       List.iter
         (fun (r : Net.router) ->
+          Array.fill by_hop 0 (Array.length by_hop) (-2);
           let base = p_egr_row.(r.Net.rid) * np in
           let obase =
             if r.Net.rid < old_routers && old.p_egr_row.(r.Net.rid) >= 0 then
               old.p_egr_row.(r.Net.rid) * np_old
             else -1
           in
+          (* The reuse test reads next hops straight out of the packed
+             word; only re-scored cells decode the boxed route. *)
+          let via_affected w =
+            let hit = ref false in
+            for k = 0 to Bgp.Snapshot.word_nexthop_count w - 1 do
+              if
+                Asn.Set.mem
+                  (Bgp.Snapshot.asn_of_slot snap (Bgp.Snapshot.nexthop_slot snap w k))
+                  affected
+              then hit := true
+            done;
+            !hit
+          in
           Array.iteri
             (fun pi p ->
-              match Bgp.Snapshot.route_at snap ~pslot:pi ~aslot with
-              | None -> ()
-              | Some route ->
+              match Bgp.Snapshot.word snap ~pslot:pi ~aslot with
+              | 0 -> ()
+              | w ->
                 let reuse =
                   obase >= 0
                   && (not dirty_col.(pi))
-                  && (Asn.Set.is_empty affected
-                     || not
-                          (Asn.Set.exists
-                             (fun z -> Asn.Set.mem z route.Bgp.nexthops)
-                             affected))
+                  && (Asn.Set.is_empty affected || not (via_affected w))
                 in
                 let v =
                   if reuse then
                     Bigarray.Array1.get old.p_egress (obase + new2old.(pi))
                   else begin
                     incr patched_cells;
-                    egress_lid scored r.Net.rid p route
+                    score r.Net.rid p ~pslot:pi ~aslot w
                   end
                 in
                 Bigarray.Array1.set p_egress (base + pi) v)

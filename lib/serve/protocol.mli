@@ -57,7 +57,7 @@ val op_metrics : int
 val op_gcstat : int
 
 (** Why a peer's bytes could not be understood, in the typed-miss style
-    of [Store.miss] / [Bgp.Snapshot.decode_error]. *)
+    of [Store.Frame.error]. *)
 type error =
   | Truncated  (** connection closed inside a greeting or frame *)
   | Bad_magic  (** greeting does not start with ["BDQS"] *)

@@ -6,24 +6,16 @@
     config, VP identity...); the store itself is generic and holds
     opaque byte payloads.
 
-    Every entry is a versioned, length-prefixed record:
+    Every entry is a {!Frame} whose magic is ["BDRS"] and whose 32-byte
+    tag is the key, so an entry copied under another name reads as
+    [Stale]. {!write} publishes through {!Frame.publish}: a reader never
+    observes a torn entry, and a killed writer leaves only a
+    [*.tmp-*] orphan that [gc] sweeps. Any malformed entry is a typed
+    miss, so callers can fall back to recomputation. *)
 
-    {v
-      offset  size  field
-      0       4     magic "BDRS"
-      4       4     format version (big-endian)
-      8       32    key (hex MD5, must match the file's key)
-      40      16    MD5 digest of the payload
-      56      8     payload length (big-endian)
-      64      n     payload
-    v}
-
-    Writes go to a uniquely named temp file in the same directory and
-    are published with [Sys.rename], so a reader can never observe a
-    torn entry and a killed writer leaves only a [*.tmp-*] orphan that
-    [gc] sweeps.  Reads validate magic, version, embedded key, length
-    and digest; any mismatch is reported as a typed miss so callers can
-    fall back to recomputation. *)
+(** The artifact frame shared with the routing snapshot and the map
+    file. *)
+module Frame = Frame
 
 type t
 
@@ -35,24 +27,22 @@ val open_dir : string -> t
 
 val dir : t -> string
 
-(** Why a read did not produce a payload. *)
-type miss =
-  | Absent  (** no entry file for this key *)
-  | Truncated  (** file shorter than its header or declared length *)
-  | Bad_magic  (** not a store entry *)
-  | Bad_version of int  (** entry written by an incompatible format *)
-  | Stale  (** embedded key does not match the requested key *)
-  | Corrupt  (** payload digest mismatch *)
-
-val miss_label : miss -> string
+(** Why a read did not produce a payload ({!Frame.error_label} names
+    it); [Stale] is an embedded key other than the requested one. *)
+type miss = Frame.error =
+  | Absent
+  | Truncated
+  | Bad_magic
+  | Bad_version of int
+  | Stale
+  | Corrupt
 
 (** [read t ~key] returns the payload stored under [key], or a typed
     miss.  Never raises on a malformed entry. *)
 val read : t -> key:string -> (string, miss) result
 
 (** [write t ~key payload] atomically persists [payload] under [key]
-    (temp file + rename) and returns the entry size in bytes,
-    header included. *)
+    and returns the entry size in bytes, header included. *)
 val write : t -> key:string -> string -> int
 
 (** [mem t ~key] is true iff [read] would succeed. *)

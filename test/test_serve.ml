@@ -212,26 +212,31 @@ let test_mapfile_roundtrip () =
   Bytes.set flipped (Bytes.length flipped - 1)
     (Char.chr (Char.code (Bytes.get flipped (Bytes.length flipped - 1)) lxor 1));
   Alcotest.(check bool) "flipped byte is Corrupt" true
-    (Bdrmap.Mapfile.of_bytes flipped = Error Bdrmap.Mapfile.Corrupt);
+    (Bdrmap.Mapfile.of_bytes flipped = Error Store.Frame.Corrupt);
   let short = Bytes.sub b 0 (Bytes.length b - 1) in
   Alcotest.(check bool) "short payload is typed" true
     (match Bdrmap.Mapfile.of_bytes short with
-    | Error (Bdrmap.Mapfile.Truncated | Bdrmap.Mapfile.Corrupt) -> true
+    | Error (Store.Frame.Truncated | Store.Frame.Corrupt) -> true
     | _ -> false);
   let wrong = Bytes.copy b in
   Bytes.blit_string "NOPE" 0 wrong 0 4;
   Alcotest.(check bool) "wrong magic is typed" true
-    (Bdrmap.Mapfile.of_bytes wrong = Error Bdrmap.Mapfile.Bad_magic);
+    (Bdrmap.Mapfile.of_bytes wrong = Error Store.Frame.Bad_magic);
   (* A length byte >= 0x40 at offset 24 decodes to a negative length;
      it must be a typed error, not an [Invalid_argument] from a
      negative-length sub-string. *)
   let negative = Bytes.copy b in
   Bytes.set negative 24 '\x40';
   Alcotest.(check bool) "negative declared length is Corrupt" true
-    (Bdrmap.Mapfile.of_bytes negative = Error Bdrmap.Mapfile.Corrupt);
+    (Bdrmap.Mapfile.of_bytes negative = Error Store.Frame.Corrupt);
   let trailing = Bytes.cat b (Bytes.of_string "junk") in
   Alcotest.(check bool) "trailing bytes are Corrupt" true
-    (Bdrmap.Mapfile.of_bytes trailing = Error Bdrmap.Mapfile.Corrupt)
+    (Bdrmap.Mapfile.of_bytes trailing = Error Store.Frame.Corrupt);
+  (* A directory used to raise [Sys_error] out of [serve --map]. *)
+  Alcotest.(check bool) "missing path is Absent" true
+    (Bdrmap.Mapfile.load (fresh_path ()) = Error Store.Frame.Absent);
+  Alcotest.(check bool) "directory is Absent" true
+    (Bdrmap.Mapfile.load (Filename.get_temp_dir_name ()) = Error Store.Frame.Absent)
 
 (* -- Server.handle: the zero-alloc pin -- *)
 

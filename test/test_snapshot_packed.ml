@@ -48,13 +48,13 @@ let tiny_snapshot = lazy (freeze_world (Gen.generate Topogen.Scenario.tiny))
 
 let err_label = function
   | Ok _ -> "ok"
-  | Error e -> S.error_label e
+  | Error e -> Store.Frame.error_label e
 
 let test_roundtrip () =
   let snap = Lazy.force tiny_snapshot in
   let b = S.to_bytes snap in
   match S.of_bytes b with
-  | Error e -> Alcotest.failf "round-trip rejected: %s" (S.error_label e)
+  | Error e -> Alcotest.failf "round-trip rejected: %s" (Store.Frame.error_label e)
   | Ok snap' ->
     Alcotest.(check int) "prefix_count" (S.prefix_count snap) (S.prefix_count snap');
     Alcotest.(check int) "asn_count" (S.asn_count snap) (S.asn_count snap');
@@ -115,10 +115,23 @@ let test_bad_magic_and_version () =
   let b = S.to_bytes snap in
   let wrong_magic = Bytes.copy b in
   Bytes.set wrong_magic 0 'X';
-  expect_error "wrong magic" wrong_magic "bad magic";
+  expect_error "wrong magic" wrong_magic "bad-magic";
   let wrong_version = Bytes.copy b in
   Bytes.set_int32_be wrong_version 4 99l;
-  expect_error "future version" wrong_version "unsupported version 99"
+  expect_error "future version" wrong_version "bad-version-99"
+
+(* Well-framed payloads (valid digest) whose counts overflowed the
+   unguarded [np * n] and [8 * (nw + na)] checks: the first asked
+   Bigarray for a negative dimension, the second for 16 EiB. *)
+let test_crafted_counts_rejected () =
+  let crafted np n nw =
+    let b = Bytes.make (32 + 32) '\000' in
+    List.iteri (fun i v -> Bytes.set_int64_be b (32 + (8 * i)) (Int64.of_int v)) [ np; n; nw; 0 ];
+    Store.Frame.seal ~magic:"BDSN" ~version:S.codec_version b;
+    b
+  in
+  expect_error "negative dimension" (crafted (1 lsl 31) (1 lsl 31) min_int) "corrupt";
+  expect_error "16 EiB words" (crafted (1 lsl 31) (1 lsl 30) (1 lsl 61)) "corrupt"
 
 let suite =
   [ Qc.to_alcotest prop_packed_equals_boxed;
@@ -126,4 +139,5 @@ let suite =
     Alcotest.test_case "corrupted byte rejected" `Quick test_corrupted_byte_rejected;
     Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
     Alcotest.test_case "bad magic / bad version rejected" `Quick
-      test_bad_magic_and_version ]
+      test_bad_magic_and_version;
+    Alcotest.test_case "crafted counts rejected" `Quick test_crafted_counts_rejected ]

@@ -297,6 +297,132 @@ let test_key_sensitivity () =
     (Bdrmap.Run_store.bgp_snapshot_key ~world:w ()
     <> Bdrmap.Run_store.bgp_snapshot_key ~epoch:"deadbeef" ~world:w ())
 
+(* -- the artifact frame: one publish, every framed decoder total -- *)
+
+(* A writer that raises midway leaves the previous file and no temp;
+   two domains publishing to one path only ever expose a whole
+   artifact, to a reader racing them and at the end. *)
+let test_publish_crash_safety () =
+  with_store (fun st ->
+      let path = Filename.concat (Store.dir st) "artifact" in
+      let listing () = Array.to_list (Sys.readdir (Store.dir st)) in
+      Store.Frame.publish path (fun oc -> output_string oc "previous");
+      (match
+         Store.Frame.publish path (fun oc ->
+             output_string oc (String.make 100_000 'x');
+             failwith "writer died")
+       with
+      | () -> Alcotest.fail "a raising writer published"
+      | exception Failure _ -> ());
+      Alcotest.(check string) "previous file intact" "previous" (read_bytes path);
+      Alcotest.(check (list string)) "no temp left" [ "artifact" ] (listing ());
+      let image c = String.make 200_000 c in
+      let whole s = s = image 'a' || s = image 'b' in
+      let finished = Atomic.make 0 in
+      let writer c =
+        Domain.spawn (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Atomic.incr finished)
+              (fun () ->
+                for _ = 1 to 40 do
+                  Store.Frame.publish path (fun oc -> output_string oc (image c))
+                done))
+      in
+      let ws = [ writer 'a'; writer 'b' ] in
+      while Atomic.get finished < 2 do
+        let s = read_bytes path in
+        if s <> "previous" && not (whole s) then
+          Alcotest.failf "reader saw a torn artifact (%d bytes)" (String.length s)
+      done;
+      List.iter Domain.join ws;
+      Alcotest.(check bool) "one whole artifact" true (whole (read_bytes path));
+      Alcotest.(check (list string)) "no temp after the race" [ "artifact" ] (listing ());
+      Sys.remove path)
+
+type mutation = Flip of int * int | Truncate of int | Extend of string
+
+let mutate b = function
+  | Flip (i, x) ->
+    let b = Bytes.copy b in
+    let i = i mod Bytes.length b in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+    b
+  | Truncate k -> Bytes.sub b 0 (k mod Bytes.length b)
+  | Extend tail -> Bytes.cat b (Bytes.of_string tail)
+
+(* Every framed decoder, each as (name, image, decode) where [decode]
+   is [Ok true] only for a value identical to the encoded one. *)
+let framed_decoders =
+  lazy
+    (let w, inputs = Lazy.force tiny_env in
+     let snapshot = (Bdrmap.Pipeline.freeze_routing w).Bdrmap.Pipeline.snapshot in
+     let bgp = Routing.Bgp.of_snapshot snapshot in
+     let vp = List.hd w.Gen.vps in
+     let r = List.hd (Bdrmap.Pipeline.execute_all w inputs ~vps:[ vp ]) in
+     let mf =
+       Bdrmap.Mapfile.make ~host_asns:w.Gen.siblings ~bgp
+         (Bdrmap.Aggregate.merge_runs
+            [ (vp.Gen.vp_name, r.Bdrmap.Pipeline.graph, r.Bdrmap.Pipeline.inference) ])
+     in
+     let mf_bytes = Bdrmap.Mapfile.to_bytes mf in
+     let snap_bytes = Routing.Bgp.Snapshot.to_bytes snapshot in
+     let key = k "mutated" and payload = Marshal.to_string mf [] in
+     let entry =
+       with_store (fun st ->
+           ignore (Store.write st ~key payload);
+           Bytes.of_string (read_bytes (entry_path st key)))
+     in
+     [| ( "store",
+          entry,
+          fun b ->
+            with_store (fun st ->
+                write_bytes (entry_path st key) (Bytes.to_string b);
+                Result.map (String.equal payload) (Store.read st ~key)) );
+        ( "mapfile",
+          mf_bytes,
+          fun b ->
+            Result.map
+              (fun m -> Bytes.equal (Bdrmap.Mapfile.to_bytes m) mf_bytes)
+              (Bdrmap.Mapfile.of_bytes b) );
+        ( "snapshot",
+          snap_bytes,
+          fun b ->
+            Result.map
+              (fun s -> Bytes.equal (Routing.Bgp.Snapshot.to_bytes s) snap_bytes)
+              (Routing.Bgp.Snapshot.of_bytes b) ) |])
+
+let arb_mutation =
+  let open QCheck in
+  let print (d, m) =
+    Printf.sprintf "decoder %d: %s" d
+      (match m with
+      | Flip (i, x) -> Printf.sprintf "flip byte %d by 0x%02x" i x
+      | Truncate n -> Printf.sprintf "truncate to %d" n
+      | Extend t -> Printf.sprintf "extend by %S" t)
+  in
+  (* Half the flips land in the header, where each field has its own
+     error. *)
+  make ~print
+    Gen.(
+      pair (int_bound 2)
+        (oneof
+           [ map2
+               (fun i x -> Flip (i, x))
+               (oneof [ int_bound 63; int_bound 1_000_000 ])
+               (int_range 1 255);
+             map (fun n -> Truncate n) (int_bound 1_000_000);
+             map (fun t -> Extend t) (string_size (int_range 1 16)) ]))
+
+let prop_frame_mutation =
+  QCheck.Test.make ~name:"framed decoders: mutated bytes are a typed error"
+    ~count:300 arb_mutation (fun (d, m) ->
+      let name, image, decode = (Lazy.force framed_decoders).(d) in
+      match decode (mutate image m) with
+      | Ok same -> same
+      | Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "%s decoder raised %s" name (Printexc.to_string e))
+
 let suite =
   [ Alcotest.test_case "blob roundtrip" `Quick test_blob_roundtrip;
     Alcotest.test_case "corrupt entries" `Quick test_corrupt_entries;
@@ -305,4 +431,6 @@ let suite =
     Alcotest.test_case "corruption falls back to recompute" `Slow
       test_corruption_falls_back_to_recompute;
     Alcotest.test_case "crossing-links memo" `Slow test_crossing_links_memo;
-    Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity ]
+    Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
+    Alcotest.test_case "publish crash safety" `Quick test_publish_crash_safety;
+    Qc.to_alcotest prop_frame_mutation ]
