@@ -11,9 +11,12 @@
    must show the query server sustaining its throughput floor with a
    sane latency ordering and a near-zero steady-state allocation rate —
    the regression gate for the query hot loop staying allocation-free.
-   The artifact is read through the obs read side (Obs.Run_diff
-   flattens it into named series), so these gates and `bdrmap obs diff`
-   agree on what a series is called and what it contains. *)
+   The bench's self-checks (churn snapshot/plan equality against a
+   scratch freeze, the scale-3 sweep checksum) are 0/1 row fields, and a
+   0 or a missing field fails here. The artifact is read through the obs
+   read side (Obs.Run_diff flattens it into named series), so these
+   gates and `bdrmap obs diff` agree on what a series is called and what
+   it contains. *)
 
 let fail fmt =
   Printf.ksprintf (fun m -> prerr_endline ("check_bench: " ^ m); exit 1) fmt
@@ -63,11 +66,23 @@ let () =
   in
   if run.Obs.Run_diff.kind <> Obs.Run_diff.Bench then
     fail "%s parsed, but not as a BENCH.json" path;
-  if run.Obs.Run_diff.schema <> "bdrmap-bench/10" then
-    fail "schema is %S, not bdrmap-bench/10" run.Obs.Run_diff.schema;
+  if run.Obs.Run_diff.schema <> "bdrmap-bench/11" then
+    fail "schema is %S, not bdrmap-bench/11" run.Obs.Run_diff.schema;
   let series = run.Obs.Run_diff.series in
   let get name = List.assoc_opt name series in
   let geti name = Option.map (fun f -> int_of_float f) (get name) in
+  (* The row names [r] of every series [block.r.field]. *)
+  let rows_of block field =
+    let pre = block ^ "." and suf = "." ^ field in
+    List.filter_map
+      (fun (n, _) ->
+        if has_prefix pre n && has_suffix suf n then
+          Some
+            (String.sub n (String.length pre)
+               (String.length n - String.length pre - String.length suf))
+        else None)
+      series
+  in
   let counter name = Option.value ~default:0 (geti ("metric." ^ name ^ ".total")) in
   (* A run must diff clean against itself: if the flattening ever
      produces duplicate or unstable series, every downstream
@@ -118,6 +133,16 @@ let () =
         "warm packed query sweep allocated %d GC major words (budget %d): the \
          route arena is no longer GC-invisible"
         major warm_sweep_major_budget);
+  (* The cold and warm sweeps read the same words, so their checksums
+     must agree (field 1 = equal). *)
+  List.iter
+    (fun row ->
+      match get (Printf.sprintf "experiment.%s.checksum_stable" row) with
+      | None -> fail "row %S lacks field \"checksum_stable\"" row
+      | Some v when v <> 1.0 ->
+        fail "row %S: the packed query sweep checksum drifted between sweeps" row
+      | Some _ -> ())
+    [ "snapshot3-query-sweep"; "snapshot3-query-sweep-warm" ];
   let builds = counter "routing.snapshot.builds" in
   let attaches = counter "routing.snapshot.attaches" in
   let sweeps = counter "pipeline.sweeps" in
@@ -137,14 +162,7 @@ let () =
        shared snapshot"
       vp_computes attaches;
   (* Corpus accuracy floors, enumerated from the flattened series. *)
-  let scenarios =
-    List.filter_map
-      (fun (n, _) ->
-        if has_prefix "corpus." n && has_suffix ".links_pct" n then
-          Some (String.sub n 7 (String.length n - 7 - String.length ".links_pct"))
-        else None)
-      series
-  in
+  let scenarios = rows_of "corpus" "links_pct" in
   if List.length scenarios < 8 then
     fail "only %d corpus scenario rows (expected the full registry, >= 8)"
       (List.length scenarios);
@@ -167,12 +185,23 @@ let () =
      the re-freeze must beat the full freeze by at least the contract
      factor. Rows for these classes are mandatory: the scale-1 bench
      world always has an eligible site for a link add and remove, so a
-     missing row means the churn bench silently skipped them. *)
+     missing row means the churn bench silently skipped them. Every
+     churn row must also show its incremental snapshot and plan equal to
+     the scratch ones (fields 1 = equal). *)
   let churn_field row field =
     match get (Printf.sprintf "churn.%s.%s" row field) with
     | Some v -> v
     | None -> fail "churn row %S lacks field %S (did the churn bench run?)" row field
   in
+  List.iter
+    (fun row ->
+      List.iter
+        (fun what ->
+          if churn_field row (what ^ "_equal") <> 1.0 then
+            fail "churn class %S: the incremental %s diverged from a scratch freeze"
+              row what)
+        [ "snapshot"; "plan" ])
+    (rows_of "churn" "full_wall_s");
   let churn_speedups =
     List.map
       (fun row ->
@@ -190,14 +219,7 @@ let () =
   in
   (* Longitudinal accuracy floor: churn across epochs must not erode
      the inferred border map below the recorded floor. *)
-  let epochs =
-    List.filter_map
-      (fun (n, _) ->
-        if has_prefix "longitudinal." n && has_suffix ".links_pct" n then
-          Some (String.sub n 13 (String.length n - 13 - String.length ".links_pct"))
-        else None)
-      series
-  in
+  let epochs = rows_of "longitudinal" "links_pct" in
   if epochs = [] then
     fail "no longitudinal epoch rows: the epoch loop never ran";
   List.iter

@@ -264,6 +264,26 @@ let write_file path lines =
         lines);
   Printf.printf "wrote %s (%d lines)\n%!" path (List.length lines)
 
+(* [--out DIR] is created up front, parents included (like mkdir -p),
+   so a missing directory cannot fail the artifact writes after the
+   whole pipeline has run. A DIR that cannot be created is a clean
+   error before any work starts. *)
+let prepare_out ~command = function
+  | None -> ()
+  | Some dir ->
+    let rec mkdir_p d =
+      if not (Sys.file_exists d) then begin
+        mkdir_p (Filename.dirname d);
+        try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+      end
+    in
+    let fail why =
+      prerr_endline (Printf.sprintf "bdrmap: %s: --out %s: %s" command dir why);
+      exit 1
+    in
+    (try mkdir_p dir with Unix.Unix_error (e, _, _) -> fail (Unix.error_message e));
+    if not (Sys.is_directory dir) then fail "not a directory"
+
 let setup_env params =
   let world = Gen.generate params in
   let bgp, fwd, engine, inputs = Bdrmap.Pipeline.setup world in
@@ -276,6 +296,7 @@ let generate (scenario_name, scenario) scale seed out obs =
   let config =
     config_string ~command:"generate" ~scenario:scenario_name ~scale ~seed ~jobs:1 []
   in
+  prepare_out ~command:"generate" out;
   with_obs obs ~command:"generate" ~scale ~jobs:1 ?seed ~config ?out_dir:out
     (fun () ->
       let params = params_of scenario scale seed in
@@ -354,6 +375,7 @@ let run (scenario_name, scenario) scale seed vp_idx out all_vps jobs store_dir o
   let extra =
     match store_dir with Some d -> [ ("store", d) ] | None -> []
   in
+  prepare_out ~command:"run" out;
   with_obs obs ~command:"run" ~scale ~jobs ?seed ~config ?out_dir:out ~extra
     (fun () ->
       let params = params_of scenario scale seed in

@@ -1,17 +1,20 @@
 open Netcore
 
-(* Union-find over addresses, plus per-root sets of conflicting roots.
-   Unions are refused when the two roots conflict. *)
+(* Union-find over addresses. Each root owns its group's member list
+   and size (union by size splices the smaller list onto the larger),
+   plus a set of conflicting roots; unions are refused when the two
+   roots conflict. A mentioned address is a key of [parent] or [groups]. *)
+type group = { size : int; members : Ipv4.t list }
+
 type t = {
   parent : Ipv4.t Ipv4.Tbl.t;
-  rank : int Ipv4.Tbl.t;
+  groups : group Ipv4.Tbl.t;
   conflicts : Ipv4.Set.t Ipv4.Tbl.t;
-  mutable members : Ipv4.Set.t;
 }
 
 let create () =
-  { parent = Ipv4.Tbl.create 256; rank = Ipv4.Tbl.create 256;
-    conflicts = Ipv4.Tbl.create 64; members = Ipv4.Set.empty }
+  { parent = Ipv4.Tbl.create 256; groups = Ipv4.Tbl.create 256;
+    conflicts = Ipv4.Tbl.create 64 }
 
 let rec find t a =
   match Ipv4.Tbl.find_opt t.parent a with
@@ -21,7 +24,9 @@ let rec find t a =
     if not (Ipv4.equal root p) then Ipv4.Tbl.replace t.parent a root;
     root
 
-let note t a = t.members <- Ipv4.Set.add a t.members
+let note t a =
+  if not (Ipv4.Tbl.mem t.groups a || Ipv4.Tbl.mem t.parent a) then
+    Ipv4.Tbl.replace t.groups a { size = 1; members = [ a ] }
 
 let conflicts_of t root =
   Option.value ~default:Ipv4.Set.empty (Ipv4.Tbl.find_opt t.conflicts root)
@@ -44,11 +49,15 @@ let add_alias t a b =
   note t b;
   let ra = find t a and rb = find t b in
   if (not (Ipv4.equal ra rb)) && not (vetoed t a b) then begin
-    let ka = Option.value ~default:0 (Ipv4.Tbl.find_opt t.rank ra) in
-    let kb = Option.value ~default:0 (Ipv4.Tbl.find_opt t.rank rb) in
-    let root, child = if ka >= kb then (ra, rb) else (rb, ra) in
+    let ga = Ipv4.Tbl.find t.groups ra and gb = Ipv4.Tbl.find t.groups rb in
+    let root, child, big, small =
+      if ga.size >= gb.size then (ra, rb, ga, gb) else (rb, ra, gb, ga)
+    in
     Ipv4.Tbl.replace t.parent child root;
-    if ka = kb then Ipv4.Tbl.replace t.rank root (ka + 1);
+    Ipv4.Tbl.replace t.groups root
+      { size = big.size + small.size;
+        members = List.rev_append small.members big.members };
+    Ipv4.Tbl.remove t.groups child;
     (* Merge conflict sets and retarget references to the old root. *)
     let cc = conflicts_of t child in
     let merged = Ipv4.Set.union (conflicts_of t root) cc in
@@ -64,21 +73,10 @@ let add_alias t a b =
 let same_router t a b = Ipv4.equal (find t a) (find t b)
 
 let groups t =
-  let tbl = Ipv4.Tbl.create 256 in
-  Ipv4.Set.iter
-    (fun a ->
-      let root = find t a in
-      let cur = Option.value ~default:[] (Ipv4.Tbl.find_opt tbl root) in
-      Ipv4.Tbl.replace tbl root (a :: cur))
-    t.members;
-  Ipv4.Tbl.fold (fun _ g acc -> List.sort Ipv4.compare g :: acc) tbl []
+  Ipv4.Tbl.fold (fun _ g acc -> List.sort Ipv4.compare g.members :: acc) t.groups []
   |> List.sort compare
 
 let group_of t a =
-  let root = find t a in
-  let g =
-    Ipv4.Set.fold
-      (fun x acc -> if Ipv4.equal (find t x) root then x :: acc else acc)
-      t.members []
-  in
-  if g = [] then [ a ] else List.sort Ipv4.compare g
+  match Ipv4.Tbl.find_opt t.groups (find t a) with
+  | Some g -> List.sort Ipv4.compare g.members
+  | None -> [ a ]

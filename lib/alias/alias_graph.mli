@@ -27,9 +27,12 @@ val same_router : t -> Ipv4.t -> Ipv4.t -> bool
 val vetoed : t -> Ipv4.t -> Ipv4.t -> bool
 
 (** [groups t] is the list of alias sets (routers), each sorted, only
-    for addresses ever mentioned. *)
+    for addresses ever mentioned. One pass over the per-root member
+    index; the result is sorted and independent of which member the
+    union-find picked as root. *)
 val groups : t -> Ipv4.t list list
 
-(** [group_of t a] is the alias set containing [a] (a singleton when
-    never mentioned). *)
+(** [group_of t a] is the sorted alias set containing [a] (a singleton
+    when never mentioned). Costs O(|group| log |group|): a root lookup
+    plus a sort of that one group, never a scan of other groups. *)
 val group_of : t -> Ipv4.t -> Ipv4.t list

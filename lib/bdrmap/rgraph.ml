@@ -42,37 +42,29 @@ let build (c : Collect.t) =
       Ipv4.Set.empty c.Collect.mates
   in
   let of_addr = Ipv4.Tbl.create 1024 in
-  let builders = ref [] in
+  let rev_builders = ref [] in
   let n = ref 0 in
-  let node_for addr =
-    match Ipv4.Tbl.find_opt of_addr addr with
-    | Some id -> id
-    | None ->
-      (* Claim the whole alias group at once. *)
+  let claim addr =
+    if not (Ipv4.Tbl.mem of_addr addr) then begin
+      (* Claim the whole alias group at once; it always contains [addr]. *)
       let id = !n in
       incr n;
       let b =
         { b_addrs = Ipv4.Set.empty; b_extra = Ipv4.Set.empty; b_ttl = max_int;
           b_dests = Asn.Set.empty; b_last = Asn.Set.empty; b_traces = 0 }
       in
-      builders := (id, b) :: !builders;
+      rev_builders := b :: !rev_builders;
       List.iter
         (fun a ->
           Ipv4.Tbl.replace of_addr a id;
           if Ipv4.Set.mem a observed then b.b_addrs <- Ipv4.Set.add a b.b_addrs
           else b.b_extra <- Ipv4.Set.add a b.b_extra)
-        (Ag.group_of c.Collect.aliases addr);
-      if not (Ipv4.Tbl.mem of_addr addr) then begin
-        Ipv4.Tbl.replace of_addr addr id;
-        b.b_addrs <- Ipv4.Set.add addr b.b_addrs
-      end;
-      id
+        (Ag.group_of c.Collect.aliases addr)
+    end
   in
-  Ipv4.Set.iter (fun a -> ignore (node_for a)) observed;
-  Ipv4.Set.iter (fun a -> ignore (node_for a)) mates;
-  let builder_arr = Array.make !n None in
-  List.iter (fun (id, b) -> builder_arr.(id) <- Some b) !builders;
-  let builder id = Option.get builder_arr.(id) in
+  Ipv4.Set.iter claim observed;
+  Ipv4.Set.iter claim mates;
+  let builders = Array.of_list (List.rev !rev_builders) in
   (* 2. Walk traces: hop distance, destinations, adjacency. *)
   let succ = Array.make !n ISet.empty in
   let pred = Array.make !n ISet.empty in
@@ -93,14 +85,14 @@ let build (c : Collect.t) =
       in
       List.iter
         (fun (id, ttl) ->
-          let b = builder id in
+          let b = builders.(id) in
           b.b_ttl <- min b.b_ttl ttl;
           b.b_dests <- Asn.Set.add t.Trace.target_asn b.b_dests;
           b.b_traces <- b.b_traces + 1)
         node_seq;
       (match List.rev node_seq with
       | (last_id, _) :: _ ->
-        let b = builder last_id in
+        let b = builders.(last_id) in
         b.b_last <- Asn.Set.add t.Trace.target_asn b.b_last
       | [] -> ());
       let rec wire = function
@@ -114,7 +106,7 @@ let build (c : Collect.t) =
     c.Collect.traces;
   let nodes =
     Array.init !n (fun id ->
-        let b = builder id in
+        let b = builders.(id) in
         { id; addrs = b.b_addrs; extra_addrs = b.b_extra; min_ttl = b.b_ttl;
           dests = b.b_dests; last_toward = b.b_last; trace_count = b.b_traces })
   in

@@ -188,8 +188,8 @@ let collector_view t collectors =
         rib collectors)
     B.Rib.empty (prefixes t)
 
-let of_snapshot s =
-  Obs.Metrics.incr "routing.snapshot.attaches";
+let of_snapshot ?(counter = "routing.snapshot.attaches") s =
+  Obs.Metrics.incr counter;
   s
 
 let snapshot_of t = t

@@ -102,8 +102,9 @@ val collector_view : t -> Asn.t list -> Bgpdata.Rib.t
 val freeze : ?counter:string -> propagation -> snapshot
 
 (** [of_snapshot s] is the routing view answering from [s]. Counted
-    under [routing.snapshot.attaches]. *)
-val of_snapshot : snapshot -> t
+    under [routing.snapshot.attaches] by default; [?counter] redirects
+    the count, as for {!freeze}. *)
+val of_snapshot : ?counter:string -> snapshot -> t
 
 (** [snapshot_of t] is the snapshot [t] answers from. *)
 val snapshot_of : t -> snapshot

@@ -80,6 +80,58 @@ let prop_same_router_symmetric =
             [ 0; 3; 7; 11 ])
         [ 1; 5; 9; 14 ])
 
+(* Naive reference partition: a list of address sets plus every negative
+   pair recorded while its two addresses were apart. A union is refused
+   when any recorded pair spans the two sets. *)
+module IS = Set.Make (Int)
+
+let naive_partition ops =
+  let sets = ref [] and negs = ref [] in
+  let set_of a = List.find_opt (IS.mem a) !sets in
+  let mention a = if set_of a = None then sets := IS.singleton a :: !sets in
+  List.iter
+    (fun op ->
+      let a, b = match op with Alias (a, b) | Not_alias (a, b) -> (a, b) in
+      mention a;
+      mention b;
+      let sa = Option.get (set_of a) and sb = Option.get (set_of b) in
+      if not (IS.equal sa sb) then
+        match op with
+        | Not_alias _ -> negs := (a, b) :: !negs
+        | Alias _ ->
+          let spans (x, y) =
+            (IS.mem x sa && IS.mem y sb) || (IS.mem x sb && IS.mem y sa)
+          in
+          if not (List.exists spans !negs) then
+            sets :=
+              IS.union sa sb
+              :: List.filter (fun s -> not (IS.equal s sa || IS.equal s sb)) !sets)
+    ops;
+  !sets
+
+let prop_groups_match_oracle =
+  QCheck.Test.make ~name:"alias groups match a naive partition" ~count:500 arb_ops
+    (fun ops ->
+      let g = apply ops and sets = naive_partition ops in
+      let addrs s = List.map addr_of_int (IS.elements s) in
+      (* 0..15 is the op universe; 16..19 are never mentioned. *)
+      let universe = List.init 20 Fun.id in
+      let naive_group i =
+        match List.find_opt (IS.mem i) sets with
+        | Some s -> addrs s
+        | None -> [ addr_of_int i ]
+      in
+      List.for_all (fun i -> Ag.group_of g (addr_of_int i) = naive_group i) universe
+      && Ag.groups g = List.sort compare (List.map addrs sets)
+      && List.for_all
+           (fun i ->
+             List.for_all
+               (fun j ->
+                 Ag.same_router g (addr_of_int i) (addr_of_int j)
+                 = List.mem (addr_of_int j) (naive_group i))
+               universe)
+           universe)
+
 (* As_rel text format round-trips arbitrary relationship graphs. *)
 let arb_rel_graph =
   QCheck.make
@@ -167,6 +219,7 @@ let suite =
   [ Qc.to_alcotest prop_vetoes_never_merged;
     Qc.to_alcotest prop_groups_partition;
     Qc.to_alcotest prop_same_router_symmetric;
+    Qc.to_alcotest prop_groups_match_oracle;
     Qc.to_alcotest prop_as_rel_roundtrip;
     Qc.to_alcotest prop_trace_pairs;
     Qc.to_alcotest prop_rib_lpm ]
