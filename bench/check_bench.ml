@@ -49,6 +49,15 @@ let serve_frame_words_budget = 100.0
    degrading to a full recompute, not timer noise. *)
 let churn_speedup_floor = 5.0
 
+(* Budget for the forwarding walk's allocation, in minor words per
+   router hop over the micro VP's trace destinations. A warmed walk
+   allocates only its one-time destination resolve and its result
+   (about 17 words per walk, 2.64 words per hop on the bench world),
+   nothing per hop. The count is exact and deterministic, so the budget
+   is twice that measurement, and an allocation creeping back into the
+   per-hop step fails here rather than hiding in timing noise. *)
+let walk_words_per_hop_budget = 5.3
+
 let has_suffix suffix name =
   let n = String.length name and m = String.length suffix in
   n >= m && String.sub name (n - m) m = suffix
@@ -66,8 +75,8 @@ let () =
   in
   if run.Obs.Run_diff.kind <> Obs.Run_diff.Bench then
     fail "%s parsed, but not as a BENCH.json" path;
-  if run.Obs.Run_diff.schema <> "bdrmap-bench/11" then
-    fail "schema is %S, not bdrmap-bench/11" run.Obs.Run_diff.schema;
+  if run.Obs.Run_diff.schema <> "bdrmap-bench/12" then
+    fail "schema is %S, not bdrmap-bench/12" run.Obs.Run_diff.schema;
   let series = run.Obs.Run_diff.series in
   let get name = List.assoc_opt name series in
   let geti name = Option.map (fun f -> int_of_float f) (get name) in
@@ -217,6 +226,17 @@ let () =
         speedup)
       [ "link_add"; "link_remove" ]
   in
+  (* The forwarding walk's per-hop allocation. *)
+  let walk_words =
+    match get "micro.forwarding-walk.minor_words_per_hop" with
+    | None -> fail "no \"forwarding-walk\" micro row: the walk cost was never measured"
+    | Some w when w > walk_words_per_hop_budget ->
+      fail
+        "forwarding walk allocated %.2f minor words per hop (budget %.1f): the \
+         per-hop step allocates again"
+        w walk_words_per_hop_budget
+    | Some w -> w
+  in
   (* Longitudinal accuracy floor: churn across epochs must not erode
      the inferred border map below the recorded floor. *)
   let epochs = rows_of "longitudinal" "links_pct" in
@@ -271,8 +291,8 @@ let () =
   Printf.printf
     "check_bench: ok (%d builds / %d sweeps, %d attaches / %d VP computes, warm \
      sweep within %d major-word budget, %d corpus scenarios above their floors, \
-     serve at %s qps, single-link churn re-freeze %s faster, %d longitudinal \
-     epochs above the accuracy floor)\n"
+     serve at %s qps, single-link churn re-freeze %s faster, forwarding walk at \
+     %.2f words/hop, %d longitudinal epochs above the accuracy floor)\n"
     builds (sweeps + crossing) attaches vp_computes warm_sweep_major_budget
     (List.length scenarios)
     (match serve_qps with
@@ -281,4 +301,4 @@ let () =
     (match churn_speedups with
     | s :: _ -> Printf.sprintf "%.0fx" s
     | [] -> "?")
-    (List.length epochs)
+    walk_words (List.length epochs)

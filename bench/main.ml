@@ -32,7 +32,8 @@ let banner title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
 
 (* Wall-clock + GC accounting per timed region, collected for
-   BENCH.json. GC deltas come from [Gc.quick_stat] (no heap walk), so
+   BENCH.json. GC deltas come from [Gc.quick_stat] (no heap walk) and,
+   for the minor words of single-domain regions, [Gc.minor_words], so
    the measurement itself stays cheap; allocation volume is what the
    snapshot/plan sharing is supposed to cut, so it is tracked next to
    wall time. *)
@@ -49,16 +50,24 @@ type row = {
 
 let wall_times : row list ref = ref []
 
-let timed name f =
+(* [local] marks a region that runs on this domain only. Its minor
+   words then come from [Gc.minor_words], which is exact for the calling
+   domain; [Gc.quick_stat]'s count covers every domain but on OCaml 5.1
+   advances only at minor collections, which rounds a short region to
+   whole minor heaps (or to 0). *)
+let timed ?(local = false) name f =
   let g0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let r = f () in
   let dt = Unix.gettimeofday () -. t0 in
+  let m1 = Gc.minor_words () in
   let g1 = Gc.quick_stat () in
   wall_times :=
     { r_name = name;
       r_wall_s = dt;
-      r_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+      r_minor_words =
+        (if local then m1 -. m0 else g1.Gc.minor_words -. g0.Gc.minor_words);
       r_major_words = g1.Gc.major_words -. g0.Gc.major_words;
       r_heap_words = float_of_int g1.Gc.heap_words;
       r_compactions = g1.Gc.compactions - g0.Gc.compactions;
@@ -172,16 +181,16 @@ let churn_bench () =
       ~originated:(Topogen.Gen.originated w) ~selective:w.Topogen.Gen.selective
   in
   let scratch_attach = Bgp.of_snapshot ~counter:"routing.snapshot.scratch_attaches" in
+  (* Single-domain regions: minor words as in [timed ~local:true]. *)
   let timed_gc f =
     let g0 = Gc.quick_stat () in
+    let m0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     let r = f () in
     let dt = Unix.gettimeofday () -. t0 in
+    let m1 = Gc.minor_words () in
     let g1 = Gc.quick_stat () in
-    ( r,
-      dt,
-      g1.Gc.minor_words -. g0.Gc.minor_words,
-      g1.Gc.major_words -. g0.Gc.major_words )
+    (r, dt, m1 -. m0, g1.Gc.major_words -. g0.Gc.major_words)
   in
   (* The result and counters of the fastest of [n] runs. *)
   let best_of n f =
@@ -297,10 +306,10 @@ let longitudinal () =
    per-VP sweep, not world generation). *)
 let parallel_comparison pool =
   banner (Printf.sprintf "Multi-VP wall-clock: 1 vs %d domains" jobs);
-  timed "fig14-j1" (fun () -> ignore (Experiments.Exp_fig14.run ~scale ()));
+  timed ~local:true "fig14-j1" (fun () -> ignore (Experiments.Exp_fig14.run ~scale ()));
   timed (Printf.sprintf "fig14-j%d" jobs) (fun () ->
       ignore (Experiments.Exp_fig14.run ~scale ?pool ()));
-  timed "fig15-j1" (fun () -> ignore (Experiments.Exp_fig15.run ~scale ()));
+  timed ~local:true "fig15-j1" (fun () -> ignore (Experiments.Exp_fig15.run ~scale ()));
   timed (Printf.sprintf "fig15-j%d" jobs) (fun () ->
       ignore (Experiments.Exp_fig15.run ~scale ?pool ()))
 
@@ -348,11 +357,11 @@ let snapshot_comparison () =
   let vps = w.Topogen.Gen.vps in
   let n_vps = List.length vps in
   let shared =
-    timed "snapshot-freeze" (fun () -> Bdrmap.Pipeline.freeze_routing w)
+    timed ~local:true "snapshot-freeze" (fun () -> Bdrmap.Pipeline.freeze_routing w)
   in
-  timed "sweep-cold-snapshot" (fun () ->
+  timed ~local:true "sweep-cold-snapshot" (fun () ->
       ignore (Bdrmap.Pipeline.execute_all w inputs ~vps));
-  timed "sweep-warm-snapshot" (fun () ->
+  timed ~local:true "sweep-warm-snapshot" (fun () ->
       ignore (Bdrmap.Pipeline.execute_all ~shared w inputs ~vps));
   match !wall_times with
   | warm :: cold :: _ ->
@@ -371,11 +380,11 @@ let snapshot_comparison () =
 let scale3_snapshot () =
   banner "Packed routing snapshot at scale 3";
   let w =
-    timed "snapshot3-world" (fun () ->
+    timed ~local:true "snapshot3-world" (fun () ->
         Topogen.Gen.generate (Topogen.Scenario.small_access ~scale:3.0 ()))
   in
   let shared =
-    timed "snapshot3-freeze" (fun () -> Bdrmap.Pipeline.freeze_routing w)
+    timed ~local:true "snapshot3-freeze" (fun () -> Bdrmap.Pipeline.freeze_routing w)
   in
   let snap = shared.Bdrmap.Pipeline.snapshot in
   let module S = Routing.Bgp.Snapshot in
@@ -392,8 +401,8 @@ let scale3_snapshot () =
     done;
     !total
   in
-  let cold = timed "snapshot3-query-sweep" sweep in
-  let warm = timed "snapshot3-query-sweep-warm" sweep in
+  let cold = timed ~local:true "snapshot3-query-sweep" sweep in
+  let warm = timed ~local:true "snapshot3-query-sweep-warm" sweep in
   if cold <> warm then Printf.printf "sweep checksum drifted (%d vs %d)\n%!" cold warm;
   (match !wall_times with
   | w :: c :: rest ->
@@ -417,7 +426,7 @@ let serve_rows : Serve.Bench_load.result list ref = ref []
 let serve_bench () =
   banner "Query server: batched owner lookups over the merged border map";
   let qmap =
-    timed "serve-build" (fun () ->
+    timed ~local:true "serve-build" (fun () ->
         let w =
           Topogen.Gen.generate (Topogen.Scenario.small_access ~scale:0.15 ())
         in
@@ -545,6 +554,52 @@ let test_aggregate_merge =
 (* Micro-benchmark estimates collected for BENCH.json: (name, ns/run). *)
 let micro_times : (string * float) list ref = ref []
 
+(* The forwarding walk's unit cost, per router hop: every trace
+   destination of the micro VP's run walked from the VP with a
+   counting callback, after one warming pass fills the private memos.
+   Minor words come from [Gc.minor_words] (exact on this domain), so
+   words per hop is a deterministic count; check_bench gates it. Time
+   is the best of 3 passes of [reps] sweeps each. *)
+let walk_rows : string list ref = ref []
+
+let forwarding_walk () =
+  let _, _, fwd, _, _, vp, run = Lazy.force micro_env in
+  let dsts =
+    Array.of_list
+      (List.map (fun (tr : Bdrmap.Trace.t) -> tr.Bdrmap.Trace.dst)
+         run.Bdrmap.Pipeline.collection.Bdrmap.Collect.traces)
+  in
+  let hops = ref 0 in
+  let on_step _ _ = incr hops; true in
+  let sweep () =
+    Array.iter
+      (fun dst -> ignore (Routing.Forwarding.walk fwd ~src_rid:vp.Gen.vp_rid ~dst on_step))
+      dsts
+  in
+  sweep ();
+  hops := 0;
+  let m0 = Gc.minor_words () in
+  sweep ();
+  let words = Gc.minor_words () -. m0 in
+  let per_sweep = !hops in
+  let reps = 50 in
+  let pass () =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do sweep () done;
+    Unix.gettimeofday () -. t0
+  in
+  let best = List.fold_left Float.min infinity (List.init 3 (fun _ -> pass ())) in
+  let hop_count = float_of_int (max 1 per_sweep) in
+  let ns_per_hop = best *. 1e9 /. (float_of_int reps *. hop_count)
+  and words_per_hop = words /. hop_count in
+  Printf.printf "%-24s %12.1f ns/hop %8.2f words/hop (%d walks, %d hops)\n%!"
+    "forwarding-walk" ns_per_hop words_per_hop (Array.length dsts) per_sweep;
+  walk_rows :=
+    [ Printf.sprintf
+        "    {\"name\": \"forwarding-walk\", \"walks\": %d, \"hops\": %d, \
+         \"ns_per_hop\": %.1f, \"minor_words_per_hop\": %.3f}"
+        (Array.length dsts) per_sweep ns_per_hop words_per_hop ]
+
 (* Metrics snapshot for BENCH.json, taken after the experiment sweeps
    and before the micro-benchmarks — the micro loops would both inflate
    the pipeline counters and pay the recording cost inside the timed
@@ -583,7 +638,8 @@ let micro () =
             Printf.printf "%-24s %12.1f ns/run\n%!" name est
           | _ -> Printf.printf "%-24s (no estimate)\n%!" name)
         analyzed)
-    tests
+    tests;
+  forwarding_walk ()
 
 (* ------------------------------------------------------------------ *)
 (* BENCH.json: the machine-readable record of this run.                *)
@@ -604,10 +660,6 @@ let json_escape s =
 let write_bench_json path =
   let oc = open_out path in
   let item fmt (name, v) = Printf.sprintf fmt (json_escape name) v in
-  let block key fmt entries =
-    Printf.sprintf "  %S: [\n%s\n  ]" key
-      (String.concat ",\n" (List.map (fun e -> "    " ^ item fmt e) entries))
-  in
   let flag (key, v) = Printf.sprintf ", \"%s\": %d" key (Bool.to_int v) in
   let experiments_block =
     let row r =
@@ -742,11 +794,19 @@ let write_bench_json path =
     Printf.sprintf "  \"longitudinal\": [\n%s\n  ]"
       (String.concat ",\n" (List.map row !longitudinal_rows))
   in
+  let micro_block =
+    Printf.sprintf "  \"micro\": [\n%s\n  ]"
+      (String.concat ",\n"
+         (List.map
+            (fun e -> "    " ^ item "{\"name\": \"%s\", \"ns_per_run\": %.1f}" e)
+            (List.rev !micro_times)
+         @ !walk_rows))
+  in
   Printf.fprintf oc
-    "{\n  \"schema\": \"bdrmap-bench/11\",\n  \"scale\": %g,\n  \"domains\": %d,\n%s,\n%s,\n%s,\n%s,\n%s,\n%s,\n%s,\n%s,\n%s\n}\n"
+    "{\n  \"schema\": \"bdrmap-bench/12\",\n  \"scale\": %g,\n  \"domains\": %d,\n%s,\n%s,\n%s,\n%s,\n%s,\n%s,\n%s,\n%s,\n%s\n}\n"
     scale jobs experiments_block robustness_block corpus_block churn_block
     longitudinal_block serve_block stages_block metrics_block
-    (block "micro" "{\"name\": \"%s\", \"ns_per_run\": %.1f}" (List.rev !micro_times));
+    micro_block;
   close_out oc;
   Printf.printf "wrote %s\n%!" path
 

@@ -198,6 +198,31 @@ let print_metrics_summary () =
     ms;
   flush stderr
 
+(* Output directories are created up front, parents included (like
+   mkdir -p), so a missing directory cannot fail an artifact write
+   after the whole pipeline has run: [--out DIR] itself, and the
+   directory of [--trace FILE] and [--manifest FILE]. A directory that
+   cannot be created is a one-line error before any work starts. *)
+let make_dir ~command ~flag ?(arg = "") dir =
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then begin
+      mkdir_p (Filename.dirname d);
+      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    end
+  in
+  let fail why =
+    prerr_endline
+      (Printf.sprintf "bdrmap: %s: %s %s: %s" command flag
+         (if arg = "" then dir else arg)
+         why);
+    exit 1
+  in
+  (try mkdir_p dir with Unix.Unix_error (e, _, _) -> fail (Unix.error_message e));
+  if not (Sys.is_directory dir) then fail "not a directory"
+
+let make_parent ~command ~flag path =
+  make_dir ~command ~flag ~arg:path (Filename.dirname path)
+
 (* [with_obs obs ... f] brackets a command with the observability
    lifecycle: verbosity, metrics gate and trace sink before [f]; metrics
    summary, manifest and sink teardown after (teardown also on raise).
@@ -205,6 +230,8 @@ let print_metrics_summary () =
    hash lands in the manifest. *)
 let with_obs obs ~command ~scale ~jobs ?seed ~config ?out_dir ?(extra = []) f =
   Obs.Log.set_verbosity obs.verbosity;
+  Option.iter (make_parent ~command ~flag:"--trace") obs.trace;
+  Option.iter (make_parent ~command ~flag:"--manifest") obs.manifest;
   let enabled = obs.trace <> None || obs.metrics || obs.manifest <> None in
   if enabled then Obs.Metrics.enable ();
   Option.iter
@@ -264,25 +291,7 @@ let write_file path lines =
         lines);
   Printf.printf "wrote %s (%d lines)\n%!" path (List.length lines)
 
-(* [--out DIR] is created up front, parents included (like mkdir -p),
-   so a missing directory cannot fail the artifact writes after the
-   whole pipeline has run. A DIR that cannot be created is a clean
-   error before any work starts. *)
-let prepare_out ~command = function
-  | None -> ()
-  | Some dir ->
-    let rec mkdir_p d =
-      if not (Sys.file_exists d) then begin
-        mkdir_p (Filename.dirname d);
-        try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-      end
-    in
-    let fail why =
-      prerr_endline (Printf.sprintf "bdrmap: %s: --out %s: %s" command dir why);
-      exit 1
-    in
-    (try mkdir_p dir with Unix.Unix_error (e, _, _) -> fail (Unix.error_message e));
-    if not (Sys.is_directory dir) then fail "not a directory"
+let prepare_out ~command = Option.iter (make_dir ~command ~flag:"--out")
 
 let setup_env params =
   let world = Gen.generate params in

@@ -1,6 +1,8 @@
 module Gen = Topogen.Gen
 
-let snapshot_version = 3
+(* 4: moved with [Bgp.Snapshot.codec_version] 3 (Net.t gained its
+   internal adjacency), so no entry written before that change hits. *)
+let snapshot_version = 4
 
 type snapshot = {
   collection : Collect.t;

@@ -53,10 +53,22 @@ let matches addr t =
   in
   go 0 [] t
 
+(* One descent; the deepest binding wins on the way back up, so only
+   the answer is allocated. *)
 let lpm addr t =
-  match matches addr t with
-  | [] -> None
-  | best :: _ -> Some best
+  let rec go depth = function
+    | Empty -> None
+    | Node { value; zero; one } -> (
+      let deeper =
+        if depth = 32 then None
+        else go (depth + 1) (if Ipv4.bit addr depth then one else zero)
+      in
+      match (deeper, value) with
+      | Some _, _ -> deeper
+      | None, Some v -> Some (Prefix.make addr depth, v)
+      | None, None -> None)
+  in
+  go 0 t
 
 let rec fold_node prefix_addr depth f t acc =
   match t with

@@ -19,7 +19,9 @@ val remove : Prefix.t -> 'a t -> 'a t
 val find_exact : Prefix.t -> 'a t -> 'a option
 
 (** [lpm addr t] is the longest-prefix match for [addr]: the most specific
-    prefix in [t] containing [addr], with its value. *)
+    prefix in [t] containing [addr], with its value. One descent that
+    allocates only the answer (unlike {!matches}, which lists every
+    match). *)
 val lpm : Ipv4.t -> 'a t -> (Prefix.t * 'a) option
 
 (** [matches addr t] is all prefixes in [t] containing [addr], most specific

@@ -25,7 +25,7 @@ let contains ~sub s =
    the configuration. *)
 let volatile_series name =
   contains ~sub:"wall" name || contains ~sub:"gc_" name
-  || contains ~sub:"ns_per_run" name || contains ~sub:"created_unix" name
+  || contains ~sub:"ns_per_" name || contains ~sub:"created_unix" name
   || contains ~sub:"qps" name || contains ~sub:"rtt_" name
   || contains ~sub:"per_query" name || contains ~sub:".queries" name
 
@@ -39,7 +39,7 @@ let inverted_series name = contains ~sub:"qps" name
 let noise_floor name =
   if contains ~sub:"wall_s" name then 0.005
   else if contains ~sub:"wall_ns" name then 5e6
-  else if contains ~sub:"ns_per_run" name then 100.0
+  else if contains ~sub:"ns_per_" name then 100.0
   else if contains ~sub:"gc_" name then 10_000.0
   else if contains ~sub:"rtt_" name then 25.0 (* us; sub-25us RTTs are all noise *)
   else if contains ~sub:"per_query" name then 2.0 (* amortized metrics words *)

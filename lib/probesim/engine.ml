@@ -21,6 +21,19 @@ let default_cache_cap = 30_000
 
 type cache_stats = { hits : int; misses : int; evictions : int; entries : int }
 
+(* Cache keys. A lookup fills the engine's one scratch key in place, so
+   a hit allocates nothing; only an insert stores a copy. *)
+type key = { mutable k_src : int; mutable k_dst : Ipv4.t; mutable k_flow : int }
+
+module Ktbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    a.k_src = b.k_src && Ipv4.equal a.k_dst b.k_dst && a.k_flow = b.k_flow
+
+  let hash k = Hashtbl.hash ((((k.k_src * 65599) + Ipv4.hash k.k_dst) * 31) + k.k_flow)
+end)
+
 type t = {
   w : Gen.world;
   fwd : Fwd.t;
@@ -30,11 +43,18 @@ type t = {
   cache_cap : int;
   mutable clock : float;
   mutable probes : int;
-  mutable paths_young : (int * Ipv4.t * int, fpath) Hashtbl.t;
-  mutable paths_old : (int * Ipv4.t * int, fpath) Hashtbl.t;
+  probe_key : key;
+  mutable paths_young : fpath Ktbl.t;
+  mutable paths_old : fpath Ktbl.t;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable cache_evictions : int;
+  (* rid -> direct-probe reachability: 1 exposed, 0 shielded, -1 not
+     yet computed. *)
+  reach : int array;
+  (* Scratch buffer the forward walk fills before its steps are copied
+     out. *)
+  mutable walk_buf : Fwd.step array;
 }
 
 let create ?(pps = 100.0) ?fault ?(cache_cap = default_cache_cap) w fwd =
@@ -44,23 +64,27 @@ let create ?(pps = 100.0) ?fault ?(cache_cap = default_cache_cap) w fwd =
   { w; fwd; ipid = Ipid.create ~seed:w.Gen.params.Gen.seed; pps;
     fault = Fault.create ~seed:w.Gen.params.Gen.seed cfg;
     cache_cap = max 1 cache_cap; clock = 0.0; probes = 0;
-    paths_young = Hashtbl.create 4096; paths_old = Hashtbl.create 16;
-    cache_hits = 0; cache_misses = 0; cache_evictions = 0 }
+    probe_key = { k_src = 0; k_dst = Ipv4.zero; k_flow = 0 };
+    paths_young = Ktbl.create 4096; paths_old = Ktbl.create 16;
+    cache_hits = 0; cache_misses = 0; cache_evictions = 0;
+    reach = Array.make (Net.router_count w.Gen.net) (-1);
+    walk_buf = Array.make 64 { Fwd.rid = -1; in_link = None } }
 
 let fault_config t = Fault.config t.fault
 let fault_stats t = Fault.stats t.fault
 
 let stats t =
   { hits = t.cache_hits; misses = t.cache_misses; evictions = t.cache_evictions;
-    entries = Hashtbl.length t.paths_young + Hashtbl.length t.paths_old }
+    entries = Ktbl.length t.paths_young + Ktbl.length t.paths_old }
 
-let cache_insert t key p =
-  if Hashtbl.length t.paths_young >= t.cache_cap then begin
-    t.cache_evictions <- t.cache_evictions + Hashtbl.length t.paths_old;
+let cache_insert t p =
+  if Ktbl.length t.paths_young >= t.cache_cap then begin
+    t.cache_evictions <- t.cache_evictions + Ktbl.length t.paths_old;
     t.paths_old <- t.paths_young;
-    t.paths_young <- Hashtbl.create 4096
+    t.paths_young <- Ktbl.create 4096
   end;
-  Hashtbl.add t.paths_young key p
+  let k = t.probe_key in
+  Ktbl.add t.paths_young { k_src = k.k_src; k_dst = k.k_dst; k_flow = k.k_flow } p
 
 let world t = t.w
 let now t = t.clock
@@ -74,72 +98,69 @@ let tick t =
 
 let filter_of t asn = (Net.as_node t.w.Gen.net asn).Net.filter
 
-(* Truncate the forward path at the border of the first AS that filters
-   probes at its edge: the border router itself still appears (it is the
-   last hop traceroute can elicit), everything beyond is dropped. *)
-let truncate_at_filters t src_rid steps =
-  let rec go prev_owner acc = function
-    | [] -> (List.rev acc, None)
-    | (s : Fwd.step) :: rest ->
-      let owner = (Net.router t.w.Gen.net s.Fwd.rid).Net.owner in
-      let crossing =
-        (not (Asn.equal owner prev_owner))
-        &&
-        match s.Fwd.in_link with
-        | Some l -> l.Net.kind <> Net.Internal
-        | None -> false
-      in
-      if crossing && filter_of t owner <> Net.Open then
-        (List.rev (s :: acc), Some owner)
-      else go owner (s :: acc) rest
+let owner t rid = (Net.router t.w.Gen.net rid).Net.owner
+
+let push_step t n rid l =
+  if n = Array.length t.walk_buf then begin
+    let bigger = Array.make (2 * n) t.walk_buf.(0) in
+    Array.blit t.walk_buf 0 bigger 0 n;
+    t.walk_buf <- bigger
+  end;
+  t.walk_buf.(n) <- { Fwd.rid; in_link = Some l }
+
+(* The forward path, cut at the border of the first AS that filters
+   probes at its edge: the border router itself still appears (it is
+   the last hop traceroute can elicit), everything beyond is dropped.
+   One walk fills the step buffer and cuts it as it goes. *)
+let walk_path t ~src_rid ~dst ~flow =
+  let n = ref 0 and prev_owner = ref (owner t src_rid) and filtered = ref false in
+  let last =
+    Fwd.walk ~flow t.fwd ~src_rid ~dst (fun rid l ->
+        push_step t !n rid l;
+        incr n;
+        let o = owner t rid in
+        let crossing = (not (Asn.equal o !prev_owner)) && l.Net.kind <> Net.Internal in
+        prev_owner := o;
+        filtered := crossing && filter_of t o <> Net.Open;
+        not !filtered)
   in
-  let src_owner = (Net.router t.w.Gen.net src_rid).Net.owner in
-  go src_owner [] steps
+  let steps = Array.sub t.walk_buf 0 !n in
+  let term =
+    if !filtered then
+      (* The border may itself hold the probed address. *)
+      let r = Net.router t.w.Gen.net steps.(!n - 1).Fwd.rid in
+      if List.exists (fun (i : Net.iface) -> Ipv4.equal i.Net.addr dst) r.Net.ifaces
+      then Delivered
+      else Dropped
+    else
+      match last with
+      | Some Fwd.Deliver -> Delivered
+      | Some Fwd.Sink -> Sunk
+      | Some (Fwd.Forward _ | Fwd.Unreachable) | None -> Dropped
+  in
+  { steps; term }
 
 let fpath t ~src_rid ~dst ~flow =
-  let key = (src_rid, dst, flow) in
-  match Hashtbl.find_opt t.paths_young key with
-  | Some p ->
+  let key = t.probe_key in
+  key.k_src <- src_rid;
+  key.k_dst <- dst;
+  key.k_flow <- flow;
+  match Ktbl.find t.paths_young key with
+  | p ->
     t.cache_hits <- t.cache_hits + 1;
     p
-  | None ->
-  match Hashtbl.find_opt t.paths_old key with
-  | Some p ->
-    t.cache_hits <- t.cache_hits + 1;
-    Hashtbl.remove t.paths_old key;
-    cache_insert t key p;
-    p
-  | None ->
-    t.cache_misses <- t.cache_misses + 1;
-    let raw = Fwd.path ~flow t.fwd ~src_rid ~dst () in
-    let kept, filtered = truncate_at_filters t src_rid raw in
-    let term =
-      match filtered with
-      | Some _ -> (
-        (* The border may itself hold the probed address. *)
-        match kept with
-        | [] -> Dropped
-        | _ ->
-          let last = List.nth kept (List.length kept - 1) in
-          let r = Net.router t.w.Gen.net last.Fwd.rid in
-          if
-            List.exists (fun (i : Net.iface) -> Ipv4.equal i.Net.addr dst) r.Net.ifaces
-          then Delivered
-          else Dropped)
-      | None -> (
-        let last_rid =
-          match List.rev kept with
-          | [] -> src_rid
-          | s :: _ -> s.Fwd.rid
-        in
-        match Fwd.next_hop t.fwd ~rid:last_rid ~dst with
-        | Fwd.Deliver -> Delivered
-        | Fwd.Sink -> Sunk
-        | Fwd.Forward _ | Fwd.Unreachable -> Dropped)
-    in
-    let p = { steps = Array.of_list kept; term } in
-    cache_insert t key p;
-    p
+  | exception Not_found -> (
+    match Ktbl.find t.paths_old key with
+    | p ->
+      t.cache_hits <- t.cache_hits + 1;
+      Ktbl.remove t.paths_old key;
+      cache_insert t p;
+      p
+    | exception Not_found ->
+      t.cache_misses <- t.cache_misses + 1;
+      let p = walk_path t ~src_rid ~dst ~flow in
+      cache_insert t p;
+      p)
 
 (* Source-address selection for TTL-expired and unreachable messages. *)
 let select_src t (r : Net.router) (in_link : Net.link option) ~dst ~reply_to =
@@ -261,23 +282,28 @@ let traceroute ?(paris = true) t ~vp ~dst ?(max_ttl = 32) ?(gap_limit = 5) () =
   go 1 0 []
 
 (* Direct-probe reachability: routers inside filtered ASes are shielded;
-   border routers (those with an interdomain interface) remain exposed. *)
+   border routers (those with an interdomain interface) remain exposed.
+   Computed once per router. *)
+let exposed t (r : Net.router) =
+  match (Net.as_node t.w.Gen.net r.Net.owner).Net.filter with
+  | Net.Silent -> false
+  | Net.Open -> true
+  | Net.Firewall | Net.Echo_only ->
+    List.exists
+      (fun (i : Net.iface) ->
+        (Net.link t.w.Gen.net i.Net.link).Net.kind <> Net.Internal)
+      r.Net.ifaces
+
 let direct_target t dst =
   match Net.owner_of_addr t.w.Gen.net dst with
   | None -> None
-  | Some r -> (
-    let node = Net.as_node t.w.Gen.net r.Net.owner in
-    match node.Net.filter with
-    | Net.Silent -> None
-    | Net.Open -> Some r
-    | Net.Firewall | Net.Echo_only ->
-      let is_border =
-        List.exists
-          (fun (i : Net.iface) ->
-            (Net.link t.w.Gen.net i.Net.link).Net.kind <> Net.Internal)
-          r.Net.ifaces
-      in
-      if is_border then Some r else None)
+  | Some r ->
+    let rid = r.Net.rid in
+    if rid >= Array.length t.reach then (if exposed t r then Some r else None)
+    else begin
+      if t.reach.(rid) < 0 then t.reach.(rid) <- Bool.to_int (exposed t r);
+      if t.reach.(rid) = 1 then Some r else None
+    end
 
 let ping t ~dst =
   tick t;

@@ -142,18 +142,13 @@ let route t asn p =
     ~pslot:(slot_of_array Prefix.compare t.s_pfx p)
     ~aslot:(slot_of_array Asn.compare t.s_asns asn)
 
-let lookup_slot t asn addr =
+let lookup t asn addr =
   let i = Lpm.lookup_idx t.s_lpm addr in
   if i < 0 then None
   else
     let pslot = Lpm.value_at t.s_lpm i in
     let aslot = slot_of_array Asn.compare t.s_asns asn in
-    Some (t.s_pfx.(pslot), pslot, route_at t ~pslot ~aslot)
-
-let lookup t asn addr =
-  match lookup_slot t asn addr with
-  | None -> None
-  | Some (p, _, r) -> Some (p, r)
+    Some (t.s_pfx.(pslot), route_at t ~pslot ~aslot)
 
 (* Parent chains walk packed words directly: each hop is one word fetch
    plus one arena fetch (the segment head is the canonical parent), with
@@ -787,8 +782,9 @@ module Snapshot = struct
      sized from them. *)
 
   (* v2: Net.link gained the [live] retirement flag (marshaled inside
-     the metadata tuple), so v1 entries no longer decode. *)
-  let codec_version = 2
+     the metadata tuple), so v1 entries no longer decode. v3: Net.t
+     gained the internal adjacency arrays. *)
+  let codec_version = 3
   let magic = "BDSN"
   let header_len = Store.Frame.header_len 0
 

@@ -70,13 +70,6 @@ val is_origin : t -> Asn.t -> Prefix.t -> bool
     returns the matched prefix with the best route. *)
 val lookup : t -> Asn.t -> Ipv4.t -> (Prefix.t * route option) option
 
-(** [lookup_slot t asn addr] is {!lookup} plus the matched prefix's
-    interned snapshot slot. Callers that loop over lookups — the
-    forwarding plan, the crossing-link sweeps — thread the slot to
-    {!Snapshot.route_at}-style accessors instead of re-binary-searching
-    the prefix per query. *)
-val lookup_slot : t -> Asn.t -> Ipv4.t -> (Prefix.t * int * route option) option
-
 (** [as_path t asn p] is the AS path [asn] would report toward [p]
     (leftmost = [asn], rightmost = origin), or [None] if unreachable. *)
 val as_path : t -> Asn.t -> Prefix.t -> Asn.t list option

@@ -24,21 +24,28 @@ type plan = {
   p_between : (Asn.t * Asn.t, Net.link list) Hashtbl.t;
 }
 
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   net : Net.t;
   bgp : Bgp.t;
+  snap : Bgp.snapshot;  (* [bgp]'s snapshot, for the slot layer *)
   plan : plan option;
-  (* Distances to a target router from every router of the same AS,
-     computed by Dijkstra from the target over internal links. *)
-  igp : (int, float array) Hashtbl.t;
-  (* (rid, prefix) -> chosen egress link id, or -1 for none. *)
-  egress_memo : (int * Prefix.t, int) Hashtbl.t;
+  (* Distances to an unplanned target router from every router, by
+     Dijkstra from the target over internal links of its AS. *)
+  igp : float_ba Itbl.t;
+  (* Egress cells the plan does not cover, keyed by [egress_key]: the
+     chosen link id, or -1 for none. *)
+  egress_memo : int Itbl.t;
+  (* rid -> snapshot ASN slot of its owner; -2 until first read. *)
+  aslots : int array;
   (* (asn1, asn2) -> interdomain links between them. *)
   mutable between : (Asn.t * Asn.t, Net.link list) Hashtbl.t option;
 }
 
 let create ?plan net bgp =
-  { net; bgp; plan; igp = Hashtbl.create 512; egress_memo = Hashtbl.create 4096;
+  { net; bgp; snap = Bgp.snapshot_of bgp; plan; igp = Itbl.create 512;
+    egress_memo = Itbl.create 4096; aslots = Array.make (Net.router_count net) (-2);
     between = None }
 
 let build_between net =
@@ -69,54 +76,58 @@ let links_between t x y =
   Option.value ~default:[] (Hashtbl.find_opt tbl key)
 
 (* Dijkstra from [target] over internal links of its AS, on a binary
-   heap with lazy deletion: relaxations push duplicates and stale pops
-   are skipped by the [d <= dist.(x)] guard, so the final distance
-   array is identical to the old set-as-priority-queue version. *)
-let compute_dist net target =
+   heap with lazy deletion, written into [row] from offset [base]:
+   relaxations push duplicates and stale pops are skipped by the
+   [d <= dist x] guard. *)
+let compute_dist_into net target (row : float_ba) base =
   let n = Net.router_count net in
-  let dist = Array.make n infinity in
+  Bigarray.Array1.fill (Bigarray.Array1.sub row base n) infinity;
   let pq =
     Heap.create (fun (d1, x1) (d2, x2) ->
         match Float.compare d1 d2 with 0 -> Int.compare x1 x2 | c -> c)
   in
   Heap.push pq (0.0, target);
-  dist.(target) <- 0.0;
+  Bigarray.Array1.set row (base + target) 0.0;
   let rec drain () =
     match Heap.pop_opt pq with
     | None -> ()
     | Some (d, x) ->
-      if d <= dist.(x) then
-        List.iter
+      if d <= Bigarray.Array1.get row (base + x) then
+        Array.iter
           (fun ((l : Net.link), y) ->
             let nd = d +. l.Net.weight in
-            if nd < dist.(y) then begin
-              dist.(y) <- nd;
+            if nd < Bigarray.Array1.get row (base + y) then begin
+              Bigarray.Array1.set row (base + y) nd;
               Heap.push pq (nd, y)
             end)
           (Net.internal_neighbors net x);
       drain ()
   in
-  drain ();
-  dist
+  drain ()
+
+(* The private distance row toward an unplanned [target], computed on
+   first use. *)
+let private_row t target =
+  match Itbl.find t.igp target with
+  | row -> row
+  | exception Not_found ->
+    let row =
+      Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
+        (Net.router_count t.net)
+    in
+    compute_dist_into t.net target row 0;
+    Itbl.replace t.igp target row;
+    row
 
 (* Distance from [rid] to [target] (same AS assumed). Planned targets
-   read one float out of the packed row — no allocation, no hashing;
-   unplanned targets fall back to the private per-instance memo. *)
+   read one float out of the packed row; unplanned targets fall back to
+   the private per-instance memo. *)
 let dist_at t ~target ~rid =
   match t.plan with
   | Some plan when plan.p_igp_row.(target) >= 0 ->
     Bigarray.Array1.get plan.p_igp
       ((plan.p_igp_row.(target) * plan.p_routers) + rid)
-  | _ -> (
-    let dist =
-      match Hashtbl.find_opt t.igp target with
-      | Some d -> d
-      | None ->
-        let dist = compute_dist t.net target in
-        Hashtbl.replace t.igp target dist;
-        dist
-    in
-    dist.(rid))
+  | _ -> Bigarray.Array1.get (private_row t target) rid
 
 let igp_distance t ~from_rid ~to_rid =
   let ra = Net.router t.net from_rid and rb = Net.router t.net to_rid in
@@ -132,20 +143,39 @@ let igp_distance t ~from_rid ~to_rid =
    equal-cost paths. *)
 let ecmp_tolerance = 1.02
 
-let internal_next_hop ?(flow = 0) t rid target =
-  if rid = target then None
+(* [next_toward ~flow t rid target row base] reads [target]'s distance
+   row ([row] from [base]) once per neighbour and returns a link id, or
+   -1 when no neighbour reaches [target]. Flow 0 is the minimum
+   (distance, link id), found in one pass. *)
+let next_toward ~flow t rid target (row : float_ba) base =
+  let adj = Net.internal_neighbors t.net rid in
+  if flow = 0 then begin
+    let best = ref (-1) and best_d = ref infinity in
+    for i = 0 to Array.length adj - 1 do
+      let (l : Net.link), y = adj.(i) in
+      let dy = Bigarray.Array1.get row (base + y) in
+      if dy < infinity then begin
+        let d = l.Net.weight +. dy in
+        if d < !best_d || (d = !best_d && l.Net.lid < !best) then begin
+          best_d := d;
+          best := l.Net.lid
+        end
+      end
+    done;
+    !best
+  end
   else begin
     let candidates = ref [] in
     let best = ref infinity in
-    List.iter
+    Array.iter
       (fun ((l : Net.link), y) ->
-        let dy = dist_at t ~target ~rid:y in
+        let dy = Bigarray.Array1.get row (base + y) in
         if dy < infinity then begin
           let d = l.Net.weight +. dy in
           if d < !best then best := d;
           candidates := (d, l) :: !candidates
         end)
-      (Net.internal_neighbors t.net rid);
+      adj;
     let eligible =
       List.filter (fun (d, _) -> d <= !best *. ecmp_tolerance) !candidates
       |> List.sort (fun (d1, (l1 : Net.link)) (d2, l2) ->
@@ -155,14 +185,21 @@ let internal_next_hop ?(flow = 0) t rid target =
       |> List.map snd
     in
     match eligible with
-    | [] -> None
-    | [ l ] -> Some l
+    | [] -> -1
+    | [ l ] -> l.Net.lid
     | ls ->
-      if flow = 0 then Some (List.hd ls)
-      else
-        let h = Hashtbl.hash (flow, rid, target) in
-        Some (List.nth ls (h mod List.length ls))
+      let h = Hashtbl.hash (flow, rid, target) in
+      (List.nth ls (h mod List.length ls)).Net.lid
   end
+
+let internal_next_hop ~flow t rid target =
+  if rid = target then -1
+  else
+    match t.plan with
+    | Some plan when plan.p_igp_row.(target) >= 0 ->
+      next_toward ~flow t rid target plan.p_igp
+        (plan.p_igp_row.(target) * plan.p_routers)
+    | _ -> next_toward ~flow t rid target (private_row t target) 0
 
 (* Candidate egress links for [rid]'s AS toward prefix [p]: links to any
    best next-hop AS, honouring per-link selective announcement when the
@@ -212,43 +249,40 @@ let egress_lid t rid p route =
   | Some (_, l) -> l.Net.lid
   | None -> -1
 
-let pfx_slot pfx p =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) / 2 in
-      match Prefix.compare p pfx.(mid) with
-      | 0 -> mid
-      | c when c < 0 -> go lo mid
-      | _ -> go (mid + 1) hi
-  in
-  go 0 (Array.length pfx)
+let aslot_of t rid =
+  if rid >= Array.length t.aslots then
+    Bgp.Snapshot.asn_slot t.snap (Net.router t.net rid).Net.owner
+  else begin
+    if t.aslots.(rid) = -2 then
+      t.aslots.(rid) <- Bgp.Snapshot.asn_slot t.snap (Net.router t.net rid).Net.owner;
+    t.aslots.(rid)
+  end
 
-(* [pslot], when >= 0, is [p]'s interned slot (as handed out by
-   [Bgp.lookup_slot]); passing it skips the per-query binary search into
-   the plan's prefix table. *)
-let choose_egress ?(pslot = -1) t rid p (route : Bgp.route) =
+(* One int per egress cell: the router and the prefix slot. *)
+let egress_key t rid pslot = (rid * Bgp.Snapshot.prefix_count t.snap) + pslot
+
+(* The egress link id of router [rid] toward prefix slot [pslot], given
+   that [rid]'s AS has a route there; -1 for none. The plan's cell
+   answers when it covers the router; otherwise the private memo, which
+   decodes the boxed route only on a miss. *)
+let choose_egress t rid ~pslot ~aslot =
   let planned =
     match t.plan with
     | Some plan when plan.p_egr_row.(rid) >= 0 ->
-      let col = if pslot >= 0 then pslot else pfx_slot plan.p_pfx p in
-      if col < 0 then -2
-      else
-        Bigarray.Array1.get plan.p_egress
-          ((plan.p_egr_row.(rid) * Array.length plan.p_pfx) + col)
+      Bigarray.Array1.get plan.p_egress
+        ((plan.p_egr_row.(rid) * Array.length plan.p_pfx) + pslot)
     | _ -> -2
   in
-  let lid =
-    if planned > -2 then planned
-    else
-      match Hashtbl.find_opt t.egress_memo (rid, p) with
-      | Some lid -> lid
-      | None ->
-        let lid = egress_lid t rid p route in
-        Hashtbl.replace t.egress_memo (rid, p) lid;
-        lid
-  in
-  if lid < 0 then None else Some (Net.link t.net lid)
+  if planned > -2 then planned
+  else
+    let key = egress_key t rid pslot in
+    match Itbl.find t.egress_memo key with
+    | lid -> lid
+    | exception Not_found ->
+      let route = Option.get (Bgp.Snapshot.route_at t.snap ~pslot ~aslot) in
+      let lid = egress_lid t rid (Bgp.Snapshot.prefix_of_slot t.snap pslot) route in
+      Itbl.replace t.egress_memo key lid;
+      lid
 
 (* ------------------------------------------------------------------ *)
 (* Incremental plan patch, the forwarding side of [Bgp.refreeze].      *)
@@ -280,7 +314,7 @@ let choose_egress ?(pslot = -1) t rid p (route : Bgp.route) =
    stay lazy in each worker's private table. Egress rows cover the hot
    ASes [egress_for] (the VP-owning ones): every probe starts there, so
    these (rid, prefix slot) cells recur in every worker. Prefix columns
-   follow the snapshot's slot order, so [Bgp.lookup_slot] slots index
+   follow the snapshot's slot order, so [Bgp.Snapshot] prefix slots index
    them directly. *)
 let build ~egress_for t ~old ~(churn : Bgp.churn) ~dirty =
   let p_between = build_between t.net in
@@ -330,12 +364,7 @@ let build ~egress_for t ~old ~(churn : Bgp.churn) ~dirty =
               (Bigarray.Array1.sub p_igp (base + old_routers) (p_routers - old_routers))
               infinity
           end
-          else begin
-            let dist = compute_dist t.net rid in
-            for i = 0 to p_routers - 1 do
-              Bigarray.Array1.set p_igp (base + i) dist.(i)
-            done
-          end)
+          else compute_dist_into t.net rid p_igp base)
         !igp_targets;
       p_igp
     end
@@ -357,7 +386,7 @@ let build ~egress_for t ~old ~(churn : Bgp.churn) ~dirty =
   let dirty_col = Array.make (max 1 np) false in
   List.iter
     (fun p ->
-      let s = pfx_slot p_pfx p in
+      let s = Bgp.Snapshot.prefix_slot t.snap p in
       if s >= 0 then dirty_col.(s) <- true)
     dirty;
   for c = 0 to np - 1 do
@@ -569,75 +598,108 @@ let plan_equal ~scratch ~patched =
 
 type hop = Deliver | Sink | Forward of Net.link | Unreachable
 
-let local_iface r addr =
-  List.exists (fun (i : Net.iface) -> Ipv4.equal i.Net.addr addr) r.Net.ifaces
+(* The per-hop step answers with an int: a link id to forward across,
+   or one of these codes. *)
+let c_unreachable = -1
+let c_deliver = -2
+let c_sink = -3
+
+let hop_of_code t code =
+  if code >= 0 then Forward (Net.link t.net code)
+  else if code = c_deliver then Deliver
+  else if code = c_sink then Sink
+  else Unreachable
+
+let rec has_iface addr = function
+  | [] -> false
+  | (i : Net.iface) :: rest -> Ipv4.equal i.Net.addr addr || has_iface addr rest
+
+let local_iface (r : Net.router) addr =
+  has_iface addr r.Net.ifaces
   ||
   match r.Net.canonical with
   | Some c -> Ipv4.equal c addr
   | None -> false
 
-let next_hop ?(flow = 0) t ~rid ~dst =
+(* Connected-subnet delivery at the home router: the address may live
+   on the far side of one of its links. *)
+let rec connected rid dst = function
+  | [] -> c_sink
+  | ((l : Net.link), _) :: rest ->
+    let far = if fst l.Net.a = rid then l.Net.b else l.Net.a in
+    if Ipv4.equal (snd far) dst then l.Net.lid else connected rid dst rest
+
+(* The egress link id router [r] would leave its AS by toward prefix
+   slot [pslot]; -1 when its AS has no route or no egress there. *)
+let egress_of t (r : Net.router) ~pslot =
+  let aslot = aslot_of t r.Net.rid in
+  if Bgp.Snapshot.word t.snap ~pslot ~aslot = 0 then -1
+  else choose_egress t r.Net.rid ~pslot ~aslot
+
+(* A destination is resolved once: its home router ([-1] for none) and
+   its longest-match prefix slot in the snapshot ([-1] for none). *)
+let home_rid t dst =
+  match Net.home_of t.net dst with
+  | Some home -> home.Net.rid
+  | None -> -1
+
+let same_as t rid (r : Net.router) =
+  rid >= 0 && Asn.equal (Net.router t.net rid).Net.owner r.Net.owner
+
+(* The one per-hop step behind [next_hop] and [walk]. *)
+let step ~flow t ~dst ~home ~pslot rid =
   let r = Net.router t.net rid in
-  if local_iface r dst then Deliver
+  if local_iface r dst then c_deliver
+  else if same_as t home r then
+    if home = rid then connected rid dst (Net.neighbors t.net rid)
+    else internal_next_hop ~flow t rid home
   else
-    match Net.home_of t.net dst with
-    | Some home when Asn.equal home.Net.owner r.Net.owner ->
-      if home.Net.rid = rid then
-        (* Connected-subnet delivery: the address may live on the far
-           side of one of this router's links. *)
-        match
-          List.find_opt
-            (fun ((l : Net.link), _) ->
-              let far = if fst l.Net.a = rid then l.Net.b else l.Net.a in
-              Ipv4.equal (snd far) dst)
-            (Net.neighbors t.net rid)
-        with
-        | Some (l, _) -> Forward l
-        | None -> Sink
-      else (
-        match internal_next_hop ~flow t rid home.Net.rid with
-        | Some l -> Forward l
-        | None -> Unreachable)
-    | _ -> (
-      match Bgp.lookup_slot t.bgp r.Net.owner dst with
-      | None | Some (_, _, None) -> Unreachable
-      | Some (p, pslot, Some route) -> (
-        match choose_egress ~pslot t rid p route with
-        | None -> Unreachable
-        | Some l ->
-          let near =
-            let ra = fst l.Net.a in
-            if Asn.equal (Net.router t.net ra).Net.owner r.Net.owner then ra
-            else fst l.Net.b
-          in
-          if near = rid then Forward l
-          else (
-            match internal_next_hop ~flow t rid near with
-            | Some il -> Forward il
-            | None -> Unreachable)))
+    let lid = egress_of t r ~pslot in
+    if lid < 0 then c_unreachable
+    else
+      let l = Net.link t.net lid in
+      let near = if same_as t (fst l.Net.a) r then fst l.Net.a else fst l.Net.b in
+      if near = rid then lid else internal_next_hop ~flow t rid near
+
+let next_hop ?(flow = 0) t ~rid ~dst =
+  hop_of_code t
+    (step ~flow t ~dst ~home:(home_rid t dst)
+       ~pslot:(Bgp.Snapshot.lookup_pslot t.snap dst)
+       rid)
 
 let egress_link t ~rid ~dst =
   let r = Net.router t.net rid in
-  match Net.home_of t.net dst with
-  | Some home when Asn.equal home.Net.owner r.Net.owner -> None
-  | _ -> (
-    match Bgp.lookup_slot t.bgp r.Net.owner dst with
-    | None | Some (_, _, None) -> None
-    | Some (p, pslot, Some route) -> choose_egress ~pslot t rid p route)
+  if same_as t (home_rid t dst) r then None
+  else
+    let lid = egress_of t r ~pslot:(Bgp.Snapshot.lookup_pslot t.snap dst) in
+    if lid < 0 then None else Some (Net.link t.net lid)
 
 type step = { rid : int; in_link : Net.link option }
 
-let path ?(flow = 0) t ~src_rid ~dst ?(max_hops = 64) () =
-  let rec walk rid hops acc =
-    if hops >= max_hops then List.rev acc
-    else
-      match next_hop ~flow t ~rid ~dst with
-      | Deliver | Sink | Unreachable -> List.rev acc
-      | Forward l ->
-        let next, _ = Net.peer_of t.net l rid in
-        walk next (hops + 1) ({ rid = next; in_link = Some l } :: acc)
-  in
-  walk src_rid 0 []
+(* Top level rather than a local closure, so a walk allocates nothing
+   beyond its destination resolve and its result. *)
+let rec walk_from ~flow t ~dst ~home ~pslot ~max_hops on_step rid hops =
+  let code = step ~flow t ~dst ~home ~pslot rid in
+  if code < 0 || hops >= max_hops then Some (hop_of_code t code)
+  else
+    let l = Net.link t.net code in
+    let next, _ = Net.peer_of t.net l rid in
+    if on_step next l then
+      walk_from ~flow t ~dst ~home ~pslot ~max_hops on_step next (hops + 1)
+    else None
+
+let walk ?(flow = 0) t ~src_rid ~dst ?(max_hops = 64) on_step =
+  walk_from ~flow t ~dst ~home:(home_rid t dst)
+    ~pslot:(Bgp.Snapshot.lookup_pslot t.snap dst)
+    ~max_hops on_step src_rid 0
+
+let path ?flow t ~src_rid ~dst ?max_hops () =
+  let acc = ref [] in
+  ignore
+    (walk ?flow t ~src_rid ~dst ?max_hops (fun rid l ->
+         acc := { rid; in_link = Some l } :: !acc;
+         true));
+  List.rev !acc
 
 let first_link_iface t ~rid ~dst =
   match next_hop t ~rid ~dst with

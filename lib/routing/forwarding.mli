@@ -27,7 +27,9 @@ type plan
     [plan], hot lookups answer from the shared frozen tables; IGP
     distances and egress choices the plan does not cover (or all of
     them, without a plan) are computed once per instance into private
-    memos. Routes always come from [bgp]'s snapshot. A plan must only be
+    memos. The private egress memo is keyed by one int per (router,
+    snapshot prefix slot) and decodes a boxed route only on a miss.
+    Routes always come from [bgp]'s snapshot. A plan must only be
     paired with a [bgp] answering identically to the one it was frozen
     from. *)
 val create : ?plan:plan -> Net.t -> Bgp.t -> t
@@ -79,7 +81,8 @@ type hop =
 (** [next_hop ?flow t ~rid ~dst] is one forwarding decision. Equal-cost
     internal paths are resolved by hashing [flow] (a five-tuple stand-in);
     flow 0 always takes the canonical path, which models Paris
-    traceroute's fixed flow identifier. *)
+    traceroute's fixed flow identifier. It is the per-hop step of
+    {!walk} with [dst] resolved on the spot. *)
 val next_hop : ?flow:int -> t -> rid:int -> dst:Ipv4.t -> hop
 
 (** [egress_link t ~rid ~dst] is the interdomain link this AS would use
@@ -95,11 +98,33 @@ val igp_distance : t -> from_rid:int -> to_rid:int -> float
     arrived on ([None] for the source router). *)
 type step = { rid : int; in_link : Net.link option }
 
-(** [path ?flow t ~src_rid ~dst ?max_hops ()] walks the full router path,
-    starting with the first router after the source. The walk stops at
-    delivery, at the prefix's home router, at an unreachable point, or
-    after [max_hops] (default 64). [flow] selects among equal-cost
-    internal paths. *)
+(** [walk ?flow t ~src_rid ~dst ?max_hops on_step] follows the
+    router path from [src_rid] toward [dst]: for each router entered,
+    [on_step rid link] is called with the link it arrived on, and
+    returning [false] ends the walk there ([None]). Otherwise the walk
+    stops at delivery, at the prefix's home router, at an unreachable
+    point, or after [max_hops] (default 64) routers, and returns the
+    {!next_hop} decision at the last router reached.
+
+    Cost: [dst] is resolved once per walk (its home router and its
+    prefix slot in the snapshot). Each hop is then one step over
+    packed state: the plan's distance row and egress cell, or the
+    private memos. With [flow = 0] the internal next hop is a single
+    pass over the router's internal adjacency. A warmed walk allocates
+    nothing per hop beyond what [on_step] does. *)
+val walk :
+  ?flow:int ->
+  t ->
+  src_rid:int ->
+  dst:Ipv4.t ->
+  ?max_hops:int ->
+  (int -> Net.link -> bool) ->
+  hop option
+
+(** [path ?flow t ~src_rid ~dst ?max_hops ()] is the full router path of
+    {!walk}, starting with the first router after the source. [flow]
+    selects among equal-cost internal paths. Beyond the one-time
+    destination resolve it allocates only the steps and their list. *)
 val path :
   ?flow:int -> t -> src_rid:int -> dst:Ipv4.t -> ?max_hops:int -> unit -> step list
 

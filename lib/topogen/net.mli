@@ -124,11 +124,18 @@ val remove_link : t -> int -> unit
     router [rid]. *)
 val peer_of : t -> link -> int -> int * Ipv4.t
 
-(** [neighbors t rid] is each (link, far router id) adjacent to [rid]. *)
+(** [neighbors t rid] is each (link, far router id) adjacent to [rid].
+    The adjacency is rebuilt lazily after any wiring change: the first
+    call afterwards pays it, which is why sweeps force it once before
+    fanning out to a pool ([Bdrmap.Pipeline.freeze_shared]). *)
 val neighbors : t -> int -> (link * int) list
 
-(** [internal_neighbors t rid] restricts to intra-AS links. *)
-val internal_neighbors : t -> int -> (link * int) list
+(** [internal_neighbors t rid] restricts {!neighbors} to intra-AS links,
+    in the same order. It is built in the same rebuild as {!neighbors}
+    (so forcing one forces both) and returned as the stored array:
+    callers read it in place and must not write it. The IGP walk scans
+    it once per hop without allocating. *)
+val internal_neighbors : t -> int -> (link * int) array
 
 (** [owner_of_addr t addr] is the router owning interface [addr]. *)
 val owner_of_addr : t -> Ipv4.t -> router option

@@ -234,6 +234,149 @@ let test_frozen_plan_equivalence () =
         (d = d' || abs_float (d -. d') < 1e-9))
     w.vps
 
+(* The walk against an independent reference: fold the public one-hop
+   decision [Fwd.next_hop] along the path with [Net.peer_of]. This pins
+   the resolve-once hoist in [Fwd.walk]: a destination resolved once per
+   walk must route every hop exactly like one resolved at each hop. *)
+let reference_path ~flow fwd net ~src_rid ~dst =
+  let rec go rid hops acc =
+    if hops >= 64 then (List.rev acc, rid)
+    else
+      match Fwd.next_hop ~flow fwd ~rid ~dst with
+      | Fwd.Forward l ->
+        let next, _ = Net.peer_of net l rid in
+        go next (hops + 1) ((next, l.Net.lid) :: acc)
+      | Fwd.Deliver | Fwd.Sink | Fwd.Unreachable -> (List.rev acc, rid)
+  in
+  go src_rid 0 []
+
+let hop_label = function
+  | Some Fwd.Deliver -> "deliver"
+  | Some Fwd.Sink -> "sink"
+  | Some Fwd.Unreachable -> "unreachable"
+  | Some (Fwd.Forward l) -> Printf.sprintf "forward %d" l.Net.lid
+  | None -> "stopped"
+
+let walk_worlds =
+  lazy
+    (List.map
+       (fun params ->
+         let w = Gen.generate params in
+         let bgp =
+           Routing.Bgp.of_snapshot
+             (Routing.Bgp.freeze
+                (Routing.Bgp.create w.Gen.net w.Gen.rels_truth
+                   ~originated:(Gen.originated w) ~selective:w.Gen.selective))
+         in
+         let plan = Fwd.freeze ~egress_for:w.Gen.siblings (Fwd.create w.Gen.net bgp) in
+         (w, [ Fwd.create ~plan w.Gen.net bgp; Fwd.create w.Gen.net bgp ]))
+       [ Topogen.Scenario.small_access ~scale:0.2 ~seed:5 ();
+         Topogen.Scenario.tier1 ~scale:0.2 ~seed:9 () ])
+
+(* Interface addresses, addresses inside routed prefixes, and
+   addresses no prefix covers, sampled with [rng]. *)
+let sample_dsts rng w =
+  let pick l n =
+    let a = Array.of_list l in
+    if Array.length a = 0 then []
+    else List.init n (fun _ -> a.(Random.State.int rng (Array.length a)))
+  in
+  let ifaces =
+    List.concat_map (fun (l : Net.link) -> [ snd l.Net.a; snd l.Net.b ]) (Net.links w.Gen.net)
+  in
+  let routed =
+    List.map
+      (fun (p, _) -> Ipv4.add (Prefix.first p) (Random.State.int rng (1 lsl (32 - max 24 (Prefix.len p)))))
+      (Gen.originated w)
+  in
+  let random = List.init 8 (fun _ -> Ipv4.of_int (Random.State.bits rng lor (Random.State.int rng 4 lsl 30))) in
+  pick ifaces 12 @ pick routed 12 @ random
+
+let prop_walk_matches_reference =
+  QCheck.Test.make ~name:"Fwd.path = next_hop folded hop by hop" ~count:12
+    QCheck.(pair (int_bound 1_000_000) (int_bound 2))
+    (fun (seed, flow_kind) ->
+      let rng = Random.State.make [| seed |] in
+      let flow = if flow_kind = 0 then 0 else 1 + Random.State.int rng 1000 in
+      List.for_all
+        (fun (w, fwds) ->
+          let dsts = sample_dsts rng w in
+          List.for_all
+            (fun fwd ->
+              List.for_all
+                (fun (vp : Gen.vp) ->
+                  List.for_all
+                    (fun dst ->
+                      let src_rid = vp.Gen.vp_rid in
+                      let got =
+                        List.map
+                          (fun (s : Fwd.step) ->
+                            (s.Fwd.rid, (Option.get s.Fwd.in_link).Net.lid))
+                          (Fwd.path ~flow fwd ~src_rid ~dst ())
+                      in
+                      let want, last = reference_path ~flow fwd w.Gen.net ~src_rid ~dst in
+                      let final = Fwd.walk ~flow fwd ~src_rid ~dst (fun _ _ -> true) in
+                      let want_final = Some (Fwd.next_hop ~flow fwd ~rid:last ~dst) in
+                      if got <> want then
+                        QCheck.Test.fail_reportf "%s flow %d: path to %s differs"
+                          vp.Gen.vp_name flow (Ipv4.to_string dst)
+                      else if hop_label final <> hop_label want_final then
+                        QCheck.Test.fail_reportf "%s flow %d: walk to %s ends %s, not %s"
+                          vp.Gen.vp_name flow (Ipv4.to_string dst) (hop_label final)
+                          (hop_label want_final)
+                      else true)
+                    dsts)
+                w.Gen.vps)
+            fwds)
+        (Lazy.force walk_worlds))
+
+(* A warmed walk to a destination the plan covers allocates nothing per
+   hop: its only words are the one-time destination resolve and its
+   result (17 per walk here). [Fwd.path] adds the steps themselves
+   (step record, its [Some] and the list cells, twice with the
+   reversal). The slack in both bounds is less than one word per hop on
+   these paths, so a per-hop allocation coming back fails here instead
+   of hiding in timing noise. *)
+let test_walk_alloc () =
+  let w, fwds = List.hd (Lazy.force walk_worlds) in
+  let fwd = List.hd fwds in
+  let vp = List.hd w.Gen.vps in
+  let dsts =
+    List.filter
+      (fun dst -> List.length (Fwd.path fwd ~src_rid:vp.Gen.vp_rid ~dst ()) >= 4)
+      (first_addrs w)
+  in
+  Alcotest.(check bool) "long paths exist" true (List.length dsts >= 5);
+  let hops =
+    List.fold_left
+      (fun n dst -> n + List.length (Fwd.path fwd ~src_rid:vp.Gen.vp_rid ~dst ()))
+      0 dsts
+  in
+  let walks = List.length dsts in
+  let seen = ref 0 in
+  let on_step _ _ = incr seen; true in
+  let measure f =
+    let before = Gc.minor_words () in
+    List.iter f dsts;
+    Gc.minor_words () -. before
+  in
+  let walk_words =
+    measure (fun dst -> ignore (Fwd.walk fwd ~src_rid:vp.Gen.vp_rid ~dst on_step))
+  in
+  Alcotest.(check int) "walk visited every hop" hops !seen;
+  let path_words =
+    measure (fun dst -> ignore (Fwd.path fwd ~src_rid:vp.Gen.vp_rid ~dst ()))
+  in
+  let per_walk = 20.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "walk: %.0f words over %d walks / %d hops" walk_words walks hops)
+    true
+    (walk_words <= per_walk *. float_of_int walks);
+  Alcotest.(check bool)
+    (Printf.sprintf "path: %.0f words over %d walks / %d hops" path_words walks hops)
+    true
+    (path_words <= (per_walk +. 8.0) *. float_of_int walks +. (11.0 *. float_of_int hops))
+
 let suite =
   [ Alcotest.test_case "paths are connected" `Quick test_paths_connected;
     Alcotest.test_case "paths reach origin AS" `Quick test_paths_reach_origin_as;
@@ -243,4 +386,6 @@ let suite =
     Alcotest.test_case "igp distance" `Quick test_igp_distance_properties;
     Alcotest.test_case "reply iface on router" `Quick test_reply_iface_on_router;
     Alcotest.test_case "selective prefixes pinned" `Quick test_selective_prefix_pinned;
-    Alcotest.test_case "frozen plan equivalence" `Quick test_frozen_plan_equivalence ]
+    Alcotest.test_case "frozen plan equivalence" `Quick test_frozen_plan_equivalence;
+    Qc.to_alcotest prop_walk_matches_reference;
+    Alcotest.test_case "warm walk allocation" `Quick test_walk_alloc ]

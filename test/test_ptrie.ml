@@ -100,6 +100,28 @@ let prop_add_then_find =
       let t = Ptrie.of_list (List.map (fun p -> (p, ())) ps) in
       List.for_all (fun p -> Ptrie.find_exact p t = Some ()) ps)
 
+(* [lpm] walks once keeping the deepest binding; [matches] lists every
+   binding on the path, most specific first. Probe the first and last
+   address of every prefix and the addresses just outside. *)
+let prop_lpm_is_deepest_match =
+  QCheck.Test.make ~name:"lpm = deepest of matches" ~count:200 arb_prefix_list (fun ps ->
+      let t = Ptrie.of_list (List.mapi (fun i p -> (p, i)) ps) in
+      let probes =
+        List.concat_map
+          (fun p ->
+            let lo = Ipv4.to_int (Prefix.first p) and hi = Ipv4.to_int (Prefix.last p) in
+            List.map Ipv4.of_int
+              (List.filter (fun a -> a >= 0 && a <= 0xFFFF_FFFF) [ lo - 1; lo; hi; hi + 1 ]))
+          ps
+      in
+      List.for_all
+        (fun a ->
+          match (Ptrie.lpm a t, Ptrie.matches a t) with
+          | None, [] -> true
+          | Some (p, v), (q, u) :: _ -> Prefix.equal p q && v = u
+          | _ -> false)
+        probes)
+
 let suite =
   [ Alcotest.test_case "longest prefix match" `Quick test_lpm;
     Alcotest.test_case "lpm without default" `Quick test_lpm_no_default;
@@ -110,4 +132,5 @@ let suite =
     Alcotest.test_case "subtree" `Quick test_subtree;
     Alcotest.test_case "bindings roundtrip" `Quick test_bindings_roundtrip;
     Qc.to_alcotest prop_lpm_agrees_with_scan;
-    Qc.to_alcotest prop_add_then_find ]
+    Qc.to_alcotest prop_add_then_find;
+    Qc.to_alcotest prop_lpm_is_deepest_match ]
